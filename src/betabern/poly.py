@@ -8,6 +8,7 @@ matrices.  No floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 
 class PolyError(Exception):
@@ -20,6 +21,13 @@ class Poly:
     Normal form invariants: variables are sorted and each occurs with a
     positive exponent in at least one monomial; no zero coefficients are
     stored.  Equality is therefore plain structural equality.
+
+    Every operation returns a value already in normal form: it works on
+    sorted, aligned variables, drops zero coefficients as it goes and then
+    drops only the variables whose exponents all became 0.  :meth:`make`
+    is the entry point for untrusted input (unsorted variables, repeated or
+    zero terms, non-``Fraction`` coefficients).  Values are never mutated,
+    so operations may return an operand unchanged.
     """
 
     __slots__ = ("vars", "terms")
@@ -76,55 +84,53 @@ class Poly:
         if self.vars == other.vars:
             return self.vars, self.terms, other.terms
         union = tuple(sorted(set(self.vars) | set(other.vars)))
+        return union, _spread(self, union), _spread(other, union)
 
-        def remap(p: Poly):
-            pos = [union.index(v) for v in p.vars]
-            out = {}
-            for exps, coeff in p.terms.items():
-                key = [0] * len(union)
-                for e, target in zip(exps, pos):
-                    key[target] = e
-                out[tuple(key)] = coeff
-            return out
-
-        return union, remap(self), remap(other)
-
-    def __add__(self, other: Poly) -> Poly:
+    def _plus(self, other: Poly, negate: bool) -> Poly:
+        if not other.terms:
+            return self
+        if not self.terms:
+            return -other if negate else other
         union, a, b = self._aligned(other)
         out = dict(a)
         for exps, coeff in b.items():
-            s = out.get(exps, Fraction(0)) + coeff
-            if s:
-                out[exps] = s
-            elif exps in out:
-                del out[exps]
-        return Poly.make(union, out)
+            _accumulate(out, exps, -coeff if negate else coeff)
+        return _drop_unused(union, out)
+
+    def __add__(self, other: Poly) -> Poly:
+        return self._plus(other, False)
 
     def __neg__(self) -> Poly:
         return Poly(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: Poly) -> Poly:
-        return self + (-other)
+        return self._plus(other, True)
 
     def __mul__(self, other: Poly) -> Poly:
-        if self.is_zero() or other.is_zero():
+        if not self.terms or not other.terms:
             return Poly.zero()
+        if not other.vars:
+            return self.scale(other.terms[()])
+        if not self.vars:
+            return other.scale(self.terms[()])
         union, a, b = self._aligned(other)
         out: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-        return Poly.make(union, out)
+                _accumulate(out, tuple(map(add, e1, e2)), c1 * c2)
+        # Q[vars] has no zero divisors: the degree in each variable of the
+        # product is the sum of the factors' degrees, so none drops out
+        return Poly(union, out)
 
     def scale(self, factor) -> Poly:
-        factor = Fraction(factor)
+        if not self.terms:
+            return self
+        if not isinstance(factor, Fraction):
+            factor = Fraction(factor)
         if not factor:
             return Poly.zero()
+        if factor == 1:
+            return self
         return Poly(self.vars, {e: c * factor for e, c in self.terms.items()})
 
     def degree(self, name: str) -> int:
@@ -149,38 +155,37 @@ class Poly:
             raise PolyError(f"polynomial uses undeclared formals {missing}")
         targets = tuple(sorted(set(actuals)))
         pos = {v: i for i, v in enumerate(targets)}
+        where = [pos[mapping[v]] for v in self.vars]
+        width = len(targets)
         out: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in self.terms.items():
-            key = [0] * len(targets)
-            for e, v in zip(exps, self.vars):
-                key[pos[mapping[v]]] += e
-            k = tuple(key)
-            s = out.get(k, Fraction(0)) + coeff
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        return Poly.make(targets, out)
+            key = [0] * width
+            for e, target in zip(exps, where):
+                key[target] += e
+            _accumulate(out, tuple(key), coeff)
+        return _drop_unused(targets, out)
 
     def integrate_out(self, name: str, moment) -> Poly:
         """Integrate a variable away, monomial by monomial.
 
         ``moment(e)`` must return the exact value of the integral of
-        ``name**e`` under the intended measure.
+        ``name**e`` under the intended measure; it is called once per
+        distinct exponent.
         """
         if name not in self.vars:
             return self.scale(moment(0))
         i = self.vars.index(name)
         rest = self.vars[:i] + self.vars[i + 1:]
+        moments: dict[int, Fraction] = {}
         out: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in self.terms.items():
-            key = exps[:i] + exps[i + 1:]
-            s = out.get(key, Fraction(0)) + coeff * moment(exps[i])
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-        return Poly.make(rest, out)
+            e = exps[i]
+            m = moments.get(e)
+            if m is None:
+                m = moments[e] = Fraction(moment(e))
+            if m:
+                _accumulate(out, exps[:i] + exps[i + 1:], coeff * m)
+        return _drop_unused(rest, out)
 
     def eval(self, values: dict[str, Fraction]) -> Fraction:
         missing = [v for v in self.vars if v not in values]
@@ -200,6 +205,45 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({format_poly(self)!r})"
+
+
+def _spread(p: Poly, union: tuple[str, ...]) -> dict[tuple[int, ...], Fraction]:
+    """The terms of ``p`` re-keyed over ``union``, a sorted superset of its vars."""
+    if p.vars == union:
+        return p.terms
+    pos = [union.index(v) for v in p.vars]
+    out = {}
+    for exps, coeff in p.terms.items():
+        key = [0] * len(union)
+        for e, target in zip(exps, pos):
+            key[target] = e
+        out[tuple(key)] = coeff
+    return out
+
+
+def _accumulate(out: dict, key: tuple[int, ...], value: Fraction) -> None:
+    """Add a nonzero ``value`` at ``key``, keeping ``out`` free of zero coefficients."""
+    s = out.get(key)
+    if s is None:
+        out[key] = value
+        return
+    s += value
+    if s:
+        out[key] = s
+    else:
+        del out[key]
+
+
+def _drop_unused(vars: tuple[str, ...], terms: dict[tuple[int, ...], Fraction]) -> Poly:
+    """The Poly of sorted ``vars`` and zero-free ``terms``, less the
+    variables no monomial uses.  Keys stay distinct: only all-zero columns go."""
+    if not terms:
+        return Poly((), {})
+    keep = [i for i, column in enumerate(zip(*terms)) if any(column)]
+    if len(keep) == len(vars):
+        return Poly(vars, terms)
+    return Poly(tuple(vars[i] for i in keep),
+                {tuple(exps[i] for i in keep): c for exps, c in terms.items()})
 
 
 def monomial(vars_exps: dict[str, int]) -> Poly:

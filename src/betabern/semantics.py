@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from math import comb, lcm
 
@@ -195,14 +196,14 @@ def _interp(t: Term, args: dict[str, FuncArg], memo: dict[int, Poly]) -> Poly:
             raise TermError(f"arity mismatch at {t}")
         out = arg.poly if not t.args else arg.poly.compose_monomials(arg.formals, t.args)
     elif isinstance(t, RatioChoice):
-        total = t.i + t.j
-        left = _interp(t.left, args, memo).scale(Fraction(t.i, total))
-        right = _interp(t.right, args, memo).scale(Fraction(t.j, total))
+        wl, wr = _ratio_weights(t.i, t.j)
+        left = _interp(t.left, args, memo).scale(wl)
+        right = _interp(t.right, args, memo).scale(wr)
         out = left + right
     elif isinstance(t, ParamChoice):
-        left = _interp(t.left, args, memo)
         right = _interp(t.right, args, memo)
-        out = right + Poly.var(t.param) * (left - right)
+        diff = _interp(t.left, args, memo) - right
+        out = right + Poly.var(t.param) * diff if diff.terms else right
     elif isinstance(t, Nu):
         body = _interp(t.body, args, memo)
         hyper = (t.i, t.j)
@@ -211,6 +212,11 @@ def _interp(t: Term, args: dict[str, FuncArg], memo: dict[int, Poly]) -> Poly:
         raise TermError(f"not a term: {t!r}")
     memo[id(t)] = out
     return out
+
+
+@lru_cache(maxsize=None)
+def _ratio_weights(i: int, j: int) -> tuple[Fraction, Fraction]:
+    return Fraction(i, i + j), Fraction(j, i + j)
 
 
 def zero_args(ctx: Context) -> dict[str, FuncArg]:
@@ -402,7 +408,10 @@ def term_from_bernstein(ctx: Context, k: int, coeffs) -> Term:
 # single monomial in one variable and zero elsewhere.  Distinct chains at
 # level n are separated by per-coordinate moments of degree about n, so the
 # sweep degree defaults to max(2, max binder level); free parameters stay
-# symbolic throughout.
+# symbolic throughout.  Each argument vector gets a fresh memo, shared by
+# both terms since a node's value depends only on the arguments.  Every
+# value is a Poly in normal form, so ``!=`` compares the two polynomials in
+# the free parameters exactly.
 
 
 def oracle_degree(t: Term, u: Term) -> int:

@@ -1,0 +1,66 @@
+"""The benchmark's tracer still finds and wraps every function it traces.
+
+``perfbench/spans.py`` swaps the program's functions for traced stand-ins
+at run time, so a renamed function or a changed signature breaks only the
+traced benchmark run.  This test installs the tracer in a fresh
+interpreter, calls each traced function once on tiny inputs, and checks
+that every span and count was recorded.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+SCRIPT = r"""
+import importlib.util, json, random, sys
+
+spec = importlib.util.spec_from_file_location("spans", sys.argv[1])
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+
+from betabern import decide, normalizer, semantics, simulate, terms
+
+tracer = spans.Tracer()
+tracer.install()
+
+ground = terms.parse_context("params: - ; vars: y:0, z:0")
+one = terms.parse_term("nu[1,1]p.pch[p](pch[p](y,z), z)", ground)
+two = terms.parse_term("nu[1,1]p.nu[1,1]q.pch[p](pch[q](y,z), z)", ground)
+decide.equal(ground, one, two)
+reified = normalizer.reify(normalizer.normalize(ground, one))
+sweep = semantics.functional_eq(ground, one, reified)
+sampled = semantics.functional_eq_sampled(ground, one, reified, random.Random(1))
+for impl in ("polya", "betabern"):
+    simulate.estimate(ground, one, 300, 1, impl)
+
+print(json.dumps({
+    "verdicts": [sweep, sampled],
+    "spans": sorted({span[0] for span in tracer.spans}),
+    "counts": dict(tracer.counts),
+}))
+"""
+
+SPANS = {
+    "terms.parse", "terms.check_wellformed", "normalizer.push", "normalizer.raise",
+    "normalizer.tables", "normalizer.reify", "decide.compare", "semantics.sweep",
+    "semantics.sampled", "simulate.polya", "simulate.betabern",
+}
+
+
+def test_tracer_wraps_every_traced_function():
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, os.path.join(ROOT, "perfbench", "spans.py")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["verdicts"] == [True, True]
+    assert SPANS <= set(out["spans"]), SPANS - set(out["spans"])
+    # the sweep makes one argument vector per monomial: y^0 and z^0 at
+    # arity 0; the sampled check builds its arguments through Poly.make
+    assert out["counts"]["semantics.sweep.args"] == 2
+    assert out["counts"]["poly.make.calls"] >= 2
+    assert out["counts"]["simulate.trials"] == 600

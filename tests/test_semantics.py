@@ -41,6 +41,31 @@ from termgen import gen_term
 
 F = Fraction
 
+UNIVERSE = ("a", "b", "c")
+
+# sparse polynomials over a subset of UNIVERSE, zero coefficients included
+SPARSE_POLYS = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * len(UNIVERSE)),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),
+    max_size=5,
+).map(lambda terms: Poly.make(UNIVERSE, terms))
+
+
+def dense(p: Poly) -> dict:
+    """The terms of ``p`` keyed over all of UNIVERSE."""
+    out = {}
+    for exps, coeff in p.terms.items():
+        named = dict(zip(p.vars, exps))
+        out[tuple(named.get(v, 0) for v in UNIVERSE)] = coeff
+    return out
+
+
+def assert_normal(p: Poly) -> None:
+    assert list(p.vars) == sorted(set(p.vars))
+    assert all(len(e) == len(p.vars) for e in p.terms)
+    assert all(any(e[i] for e in p.terms) for i in range(len(p.vars)))
+    assert all(type(c) is Fraction and c for c in p.terms.values())
+
 
 class TestPoly:
     def test_arithmetic_and_normal_form(self):
@@ -68,6 +93,85 @@ class TestPoly:
     def test_unknown_variable_rejected(self):
         with pytest.raises(PolyError):
             parse_poly("a + b", allowed_vars={"a"})
+
+    # Every operation must return what Poly.make builds from the same result
+    # written densely over all of UNIVERSE, and keep the normal-form invariants.
+
+    @settings(max_examples=150, deadline=None)
+    @given(SPARSE_POLYS, SPARSE_POLYS)
+    def test_ring_operations_match_rebuild(self, p, q):
+        a, b = dense(p), dense(q)
+        summed = dict(a)
+        for e, c in b.items():
+            summed[e] = summed.get(e, 0) + c
+        diff = dict(a)
+        for e, c in b.items():
+            diff[e] = diff.get(e, 0) - c
+        product = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                product[e] = product.get(e, 0) + c1 * c2
+        for got, want in ((p + q, summed), (p - q, diff), (p * q, product)):
+            assert_normal(got)
+            assert got == Poly.make(UNIVERSE, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(SPARSE_POLYS, st.fractions(min_value=-3, max_value=3, max_denominator=5))
+    def test_scale_matches_rebuild(self, p, factor):
+        got = p.scale(factor)
+        assert_normal(got)
+        assert got == Poly.make(UNIVERSE, {e: c * factor for e, c in dense(p).items()})
+
+    @settings(max_examples=100, deadline=None)
+    @given(SPARSE_POLYS, st.sampled_from(UNIVERSE),
+           st.sampled_from([lambda e: F(1, e + 1),             # uniform
+                            lambda e: beta_moment((2, 3), e),
+                            lambda e: F(e % 2)]))              # zero on even powers
+    def test_integrate_out_matches_rebuild(self, p, name, moment):
+        i = UNIVERSE.index(name)
+        want = {}
+        for e, c in dense(p).items():
+            key = e[:i] + (0,) + e[i + 1:]
+            want[key] = want.get(key, 0) + c * moment(e[i])
+        got = p.integrate_out(name, moment)
+        assert_normal(got)
+        assert got == Poly.make(UNIVERSE, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(SPARSE_POLYS, st.tuples(*[st.sampled_from("xyz")] * len(UNIVERSE)))
+    def test_compose_monomials_matches_rebuild(self, p, actuals):
+        targets = sorted(set(actuals))
+        want = {}
+        for e, c in dense(p).items():
+            key = [0] * len(targets)
+            for x, v in zip(e, actuals):
+                key[targets.index(v)] += x
+            want[tuple(key)] = want.get(tuple(key), 0) + c
+        got = p.compose_monomials(UNIVERSE, actuals)
+        assert_normal(got)
+        assert got == Poly.make(targets, want)
+
+    def test_cancelling_product_is_zero(self):
+        p, q = parse_poly("a*b - 1/2"), parse_poly("b + c^2")
+        out = p * q - p * q
+        assert out.is_zero() and out.vars == () and out.terms == {}
+
+    def test_cancelled_summand_drops_its_variables(self):
+        p, q = parse_poly("a^2 + 1/2"), parse_poly("a*b - b + c")
+        out = (p + q) - q
+        assert_normal(out)
+        assert out == p and out.vars == ("a",)
+
+    def test_integrate_out_only_variable(self):
+        out = parse_poly("a^2 - a").integrate_out("a", lambda e: F(1, e + 1))
+        assert out.vars == () and out.terms == {(): F(-1, 6)}
+
+    def test_diagonal_compose_cancels_merged_coefficients(self):
+        p = parse_poly("a*b^2 - a^2*b + c")
+        out = p.compose_monomials(("a", "b", "c"), ("q", "q", "r"))
+        assert_normal(out)
+        assert out == parse_poly("r") and out.vars == ("r",)
 
 
 class TestBetaMoment:
