@@ -39,14 +39,12 @@ from .axioms import (  # noqa: F401
 from .normalizer import (  # noqa: F401
     Chain,
     NormalForm,
-    collect_chains,
     join_normalize,
     normal_form_to_dict,
     normalize,
     push_nu_to_leaves,
     raise_level,
     reify,
-    stratify,
 )
 from .poly import Poly, format_poly, parse_poly  # noqa: F401
 from .semantics import (  # noqa: F401

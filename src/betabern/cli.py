@@ -290,6 +290,9 @@ def main(argv=None) -> int:
     except (ParseError, TermError, PolyError, AxiomError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EX_DATAERR
+    except RecursionError:
+        print("error: term nested too deeply", file=sys.stderr)
+        return EX_DATAERR
     except Exception as e:  # pragma: no cover - internal invariant failures
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EX_SOFTWARE

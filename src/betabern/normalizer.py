@@ -9,13 +9,16 @@ transformation:
 2. ``raise_level`` -- every binder is expanded until its hyperparameters
    sum to a common level ``n`` (a ``nu[i,j]`` below level ``n`` becomes the
    beta-binomial mixture of the level-``n`` binders it refines to).
-3. ``stratify`` -- choices on each free parameter are averaged into a
+3. ``_leaf_tables`` -- choices on each free parameter are averaged into a
    permutation-invariant depth-``k`` tree diagram whose leaves depend only
-   on the number of right branches taken per parameter.
+   on the number of right branches taken per parameter, and each leaf is
+   collected into its distribution over alpha-canonical chains.  One walk
+   over the paths computes every leaf in closed form, without building the
+   averaged terms; ``tests/refnorm.py`` builds them, as the reference.
 
-Collecting each leaf into a weighted multichoice over the distinct
-alpha-canonical chains yields a :class:`NormalForm`: two well-formed terms
-are derivably equal exactly when their joined normal forms coincide.
+Writing each leaf as a primitive-integer weighted multichoice over the
+distinct chains yields a :class:`NormalForm`: two well-formed terms are
+derivably equal exactly when their joined normal forms coincide.
 """
 
 from __future__ import annotations
@@ -306,7 +309,7 @@ def _nu_expand(i: int, j: int, p: str, body: Term, n: int) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# Stage 3: stratify free-parameter choices into depth-k tree diagrams.
+# Stages 3-4: the chain distribution at every leaf of the depth-k diagrams.
 
 
 def choice_counts(t: Term) -> dict[str, int]:
@@ -325,125 +328,6 @@ def choice_counts(t: Term) -> dict[str, int]:
     raise TermError(f"not a term: {t!r}")
 
 
-def _resolve(t: Term, param: str, bits: tuple[int, ...], pos: int = 0) -> Term:
-    """Resolve successive choices on ``param`` along each path by ``bits``."""
-    if isinstance(t, ParamChoice) and t.param == param:
-        if pos >= len(bits):
-            raise TermError("stratification depth k too small")
-        branch = t.left if bits[pos] == 0 else t.right
-        return _resolve(branch, param, bits, pos + 1)
-    if isinstance(t, ParamChoice):
-        return ParamChoice(t.param, _resolve(t.left, param, bits, pos),
-                           _resolve(t.right, param, bits, pos))
-    if isinstance(t, RatioChoice):
-        return RatioChoice(t.i, t.j, _resolve(t.left, param, bits, pos),
-                           _resolve(t.right, param, bits, pos))
-    return t  # chains are atomic
-
-
-@dataclass(frozen=True)
-class TreeDiagram:
-    """Nested permutation-invariant diagrams: one leaf per multi-index."""
-
-    params: tuple[str, ...]
-    k: int
-    leaves: dict[tuple[int, ...], Term]
-
-    def to_term(self) -> Term:
-        # memoized per level: the subdiagram depends only on the count of
-        # right branches, so equal-count nodes share one term object
-        def build(axis: int, prefix: tuple[int, ...]) -> Term:
-            if axis == len(self.params):
-                return self.leaves[prefix]
-            memo: dict[tuple[int, int], Term] = {}
-
-            def node(depth: int, rights: int) -> Term:
-                key = (depth, rights)
-                if key not in memo:
-                    if depth == self.k:
-                        memo[key] = build(axis + 1, prefix + (rights,))
-                    else:
-                        memo[key] = ParamChoice(self.params[axis],
-                                                node(depth + 1, rights),
-                                                node(depth + 1, rights + 1))
-                return memo[key]
-
-            return node(0, 0)
-
-        return build(0, ())
-
-
-def stratify(ctx: Context, t: Term, k: int) -> TreeDiagram:
-    """Average a nu-pushed, level-raised term into a depth-k diagram.
-
-    Leaf ``s`` of each parameter's diagram is the uniform mixture of the
-    ``C(k, s)`` resolutions whose bit vector has ``s`` right branches; the
-    k! path permutations never get enumerated.
-    """
-    counts = choice_counts(t)
-    if counts and k < max(counts.values()):
-        raise TermError(f"depth k={k} below required {max(counts.values())}")
-
-    def go(params: tuple[str, ...], term: Term) -> dict[tuple[int, ...], Term]:
-        if not params:
-            return {(): term}
-        p, rest = params[0], params[1:]
-        out: dict[tuple[int, ...], Term] = {}
-        for s in range(k + 1):
-            picks = [bits for bits in itertools.product((0, 1), repeat=k)
-                     if sum(bits) == s]
-            averaged = multichoice([(1, _resolve(term, p, bits)) for bits in picks])
-            for index, leaf in go(rest, averaged).items():
-                out[(s,) + index] = leaf
-        return out
-
-    return TreeDiagram(ctx.params, k, go(ctx.params, t))
-
-
-# ---------------------------------------------------------------------------
-# Stage 4: collect a leaf into a weighted multichoice over distinct chains.
-
-
-def _pull_ratios(t: Term) -> Term:
-    """Hoist ratio choices above binders (C4) so leaves become ratio trees."""
-    if isinstance(t, VarApp):
-        return t
-    if isinstance(t, RatioChoice):
-        return RatioChoice(t.i, t.j, _pull_ratios(t.left), _pull_ratios(t.right))
-    if isinstance(t, Nu):
-        return _nu_over(t.i, t.j, t.param, _pull_ratios(t.body))
-    raise TermError("leaf contains a parameter choice")
-
-
-def _nu_over(i: int, j: int, p: str, body: Term) -> Term:
-    if isinstance(body, RatioChoice):
-        return RatioChoice(body.i, body.j,
-                           _nu_over(i, j, p, body.left),
-                           _nu_over(i, j, p, body.right))
-    return Nu(i, j, p, body)
-
-
-def chain_distribution(ctx: Context, leaf: Term) -> dict[Chain, Fraction]:
-    """Exact chain distribution of a leaf (ratio choices over nu-runs)."""
-    out: dict[Chain, Fraction] = {}
-
-    def walk(node: Term, weight: Fraction) -> None:
-        if isinstance(node, RatioChoice):
-            total = node.i + node.j
-            if total <= 0:
-                raise TermError("ratio choice with zero total weight")
-            if node.i:
-                walk(node.left, weight * Fraction(node.i, total))
-            if node.j:
-                walk(node.right, weight * Fraction(node.j, total))
-            return
-        chain = chain_from_term(ctx, node)
-        out[chain] = out.get(chain, Fraction(0)) + weight
-
-    walk(_pull_ratios(leaf), Fraction(1))
-    return out
-
-
 def _primitive(fractions) -> tuple[int, ...]:
     denom = 1
     for f in fractions:
@@ -453,26 +337,16 @@ def _primitive(fractions) -> tuple[int, ...]:
     return tuple(w // g for w in ints) if g else tuple(ints)
 
 
-def collect_chains(ctx: Context, leaf: Term) -> tuple[tuple[Chain, ...], tuple[int, ...]]:
-    """Distinct sorted chains of a leaf with primitive integer weights."""
-    dist = chain_distribution(ctx, leaf)
-    chains = tuple(sorted(dist, key=Chain.sort_key))
-    weights = _primitive([dist[c] for c in chains])
-    return chains, weights
-
-
-# ---------------------------------------------------------------------------
-# The full pipeline.
-
-
 def _leaf_tables(ctx: Context, raised: Term, k: int) -> dict[tuple[int, ...], dict[Chain, Fraction]]:
     """Chain distribution of every stratified leaf, via the closed form.
 
     A path that consumes ``d`` choices on a parameter, ``r`` of them right
     branches, lands in leaf ``s`` of that parameter's depth-k diagram with
     probability C(k-d, s-r)/C(k, s); contributions multiply across
-    parameters.  This is the stratify/collect composition without building
-    the averaged terms.
+    parameters.  This is the composition of averaging each parameter's
+    choices into its diagram and collecting every leaf over its chains,
+    without building the averaged terms (``tests/refnorm.py`` builds them,
+    as a reference).
     """
     ell = len(ctx.params)
     axis_of = {p: a for a, p in enumerate(ctx.params)}
@@ -527,19 +401,27 @@ def _assemble(ctx: Context, raised: Term, k: int, n: int) -> NormalForm:
     return NormalForm(ctx, k, n, chains, weights)
 
 
-def _stage12(ctx: Context, t: Term, k: int | None, n: int | None):
-    bad = check_wellformed(ctx, t)
-    if bad:
-        raise TermError(f"term ill-formed: {bad[0]}")
-    pushed = push_nu_to_leaves(t)
-    n_min = max(2, max_level(pushed))
+# ---------------------------------------------------------------------------
+# The full pipeline.
+
+
+def _stage12(ctx: Context, terms: tuple[Term, ...], k: int | None = None,
+             n: int | None = None) -> tuple[list[Term], int, int]:
+    """Check and push each term, then raise all of them to one level ``n``;
+    returns the raised terms with the common depth ``k`` and level ``n``."""
+    pushed = []
+    for t in terms:
+        bad = check_wellformed(ctx, t)
+        if bad:
+            raise TermError(f"term ill-formed: {bad[0]}")
+        pushed.append(push_nu_to_leaves(t))
+    n_min = max(2, *map(max_level, pushed))
     if n is None:
         n = n_min
     elif n < n_min:
         raise TermError(f"level n={n} below minimum {n_min}")
-    raised = raise_level(pushed, n)
-    counts = choice_counts(raised)
-    k_min = max(counts.values(), default=0)
+    raised = [raise_level(p, n) for p in pushed]
+    k_min = max((c for r in raised for c in choice_counts(r).values()), default=0)
     if k is None:
         k = k_min
     elif k < k_min:
@@ -549,7 +431,7 @@ def _stage12(ctx: Context, t: Term, k: int | None, n: int | None):
 
 def normalize(ctx: Context, t: Term, k: int | None = None, n: int | None = None) -> NormalForm:
     """Unique normal form of ``t`` at the canonical (or given) depth and level."""
-    raised, k, n = _stage12(ctx, t, k, n)
+    (raised,), k, n = _stage12(ctx, (t,), k, n)
     return _assemble(ctx, raised, k, n)
 
 
@@ -563,24 +445,47 @@ def _widen(nf: NormalForm, chains: tuple[Chain, ...]) -> NormalForm:
 
 def join_normalize(ctx: Context, t: Term, u: Term) -> tuple[NormalForm, NormalForm]:
     """Normal forms of both terms at common depth/level over merged chains."""
-    pushed_t = push_nu_to_leaves_checked(ctx, t)
-    pushed_u = push_nu_to_leaves_checked(ctx, u)
-    n = max(2, max_level(pushed_t), max_level(pushed_u))
-    raised_t = raise_level(pushed_t, n)
-    raised_u = raise_level(pushed_u, n)
-    k = max([*choice_counts(raised_t).values(), *choice_counts(raised_u).values()],
-            default=0)
+    (raised_t, raised_u), k, n = _stage12(ctx, (t, u))
     nf_t = _assemble(ctx, raised_t, k, n)
     nf_u = _assemble(ctx, raised_u, k, n)
     merged = tuple(sorted(set(nf_t.chains) | set(nf_u.chains), key=Chain.sort_key))
     return _widen(nf_t, merged), _widen(nf_u, merged)
 
 
-def push_nu_to_leaves_checked(ctx: Context, t: Term) -> Term:
-    bad = check_wellformed(ctx, t)
-    if bad:
-        raise TermError(f"term ill-formed: {bad[0]}")
-    return push_nu_to_leaves(t)
+# ---------------------------------------------------------------------------
+# Reification: a deterministic term for every normal form.
+
+
+@dataclass(frozen=True)
+class TreeDiagram:
+    """Nested permutation-invariant diagrams: one leaf per multi-index."""
+
+    params: tuple[str, ...]
+    k: int
+    leaves: dict[tuple[int, ...], Term]
+
+    def to_term(self) -> Term:
+        # memoized per level: the subdiagram depends only on the count of
+        # right branches, so equal-count nodes share one term object
+        def build(axis: int, prefix: tuple[int, ...]) -> Term:
+            if axis == len(self.params):
+                return self.leaves[prefix]
+            memo: dict[tuple[int, int], Term] = {}
+
+            def node(depth: int, rights: int) -> Term:
+                key = (depth, rights)
+                if key not in memo:
+                    if depth == self.k:
+                        memo[key] = build(axis + 1, prefix + (rights,))
+                    else:
+                        memo[key] = ParamChoice(self.params[axis],
+                                                node(depth + 1, rights),
+                                                node(depth + 1, rights + 1))
+                return memo[key]
+
+            return node(0, 0)
+
+        return build(0, ())
 
 
 def reify(nf: NormalForm) -> Term:

@@ -240,21 +240,22 @@ def _():
 @_check("stratify-two-draws")
 def _():
     ctx = _ctx("params: p ; vars: v:0, x:0, y:0")
-    t = parse_term("pch[p](pch[p](v,x), pch[p](y,v))", ctx)
-    diagram = normalizer.stratify(ctx, t, 2)
-    v, xy = VarApp("v"), RatioChoice(1, 1, VarApp("x"), VarApp("y"))
-    assert diagram.leaves[(0,)] == v
-    assert alpha_eq(diagram.leaves[(1,)], xy)
-    assert diagram.leaves[(2,)] == v
+    nf = normalizer.normalize(ctx, parse_term("pch[p](pch[p](v,x), pch[p](y,v))", ctx))
+    assert nf.k == 2
+
+    def leaf(s):
+        return {c.var: mass for c, mass in nf.leaf_fractions((s,)).items()}
+
+    assert leaf(0) == leaf(2) == {"v": 1}
+    assert leaf(1) == {"x": Fraction(1, 2), "y": Fraction(1, 2)}
 
 
 @_check("collect-stone-weights")
 def _():
     ctx = _ctx("params: - ; vars: x:0, y:0, z:0")
-    leaf = parse_term("rch[2,8](x, rch[3,5](y,z))", ctx)
-    chains, weights = normalizer.collect_chains(ctx, leaf)
-    assert [c.var for c in chains] == ["x", "y", "z"]
-    assert weights == (2, 3, 5)
+    nf = normalizer.normalize(ctx, parse_term("rch[2,8](x, rch[3,5](y,z))", ctx))
+    assert [c.var for c in nf.chains] == ["x", "y", "z"]
+    assert nf.weights[()] == (2, 3, 5)
 
 
 # --- the decision procedure ---------------------------------------------------

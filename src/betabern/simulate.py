@@ -15,17 +15,56 @@ significance level.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-
-from scipy.stats import chi2
 
 from .normalizer import normalize
 from .terms import Context, Nu, ParamChoice, RatioChoice, Term, TermError, VarApp, free_params
 
 SIGNIFICANCE = 0.001
 MIN_EXPECTED = 5.0
+
+
+class _ChiSquare:
+    """Chi-square distribution for integer degrees of freedom.
+
+    The survival function has a closed form: with ``h = x/2`` it is
+    ``exp(-h)`` times a sum of ``h^a / Gamma(a+1)`` over ``a = 0..dof/2-1``
+    for even ``dof`` (a Poisson tail), and ``erfc(sqrt(h))`` plus the same
+    sum over ``a = 1/2..(dof-2)/2`` for odd ``dof``.  Terms are formed in
+    log space so ``exp(-h)`` cannot underflow at large ``dof``.
+    """
+
+    @staticmethod
+    def sf(x: float, dof: int) -> float:
+        if x <= 0:
+            return 1.0
+        h = x / 2
+        log_h = math.log(h)
+        head = math.erfc(math.sqrt(h)) if dof % 2 else 0.0
+        offset = (dof % 2) / 2
+        return head + sum(math.exp((a + offset) * log_h - h - math.lgamma(a + offset + 1))
+                          for a in range(dof // 2))
+
+    def ppf(self, q: float, dof: int) -> float:
+        """The ``q`` quantile, by bisection down to float resolution."""
+        target = 1 - q
+        lo, hi = 0.0, float(dof)
+        while self.sf(hi, dof) > target:
+            lo, hi = hi, 2 * hi
+        while True:
+            mid = (lo + hi) / 2
+            if mid in (lo, hi):
+                return hi
+            if self.sf(mid, dof) > target:
+                lo = mid
+            else:
+                hi = mid
+
+
+chi2 = _ChiSquare()
 
 
 def check_ground(ctx: Context, t: Term) -> None:

@@ -1,0 +1,115 @@
+"""Reference stages 3-4: build the averaged leaf terms, then collect them.
+
+``betabern.normalizer._leaf_tables`` computes each leaf's chain
+distribution in closed form by one walk over the paths.  This module
+takes the long way, as the definition reads: resolve every parameter's
+choices by each bit vector, average the resolutions with ``s`` right
+branches into leaf ``s`` of a depth-``k`` tree diagram, hoist ratio
+choices above binders and sum the chain masses.  Tests compare the two.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+
+from betabern.normalizer import (
+    Chain,
+    TreeDiagram,
+    _primitive,
+    chain_from_term,
+    choice_counts,
+    multichoice,
+)
+from betabern.terms import Context, Nu, ParamChoice, RatioChoice, Term, TermError, VarApp
+
+
+def _resolve(t: Term, param: str, bits: tuple[int, ...], pos: int = 0) -> Term:
+    """Resolve successive choices on ``param`` along each path by ``bits``."""
+    if isinstance(t, ParamChoice) and t.param == param:
+        if pos >= len(bits):
+            raise TermError("stratification depth k too small")
+        branch = t.left if bits[pos] == 0 else t.right
+        return _resolve(branch, param, bits, pos + 1)
+    if isinstance(t, ParamChoice):
+        return ParamChoice(t.param, _resolve(t.left, param, bits, pos),
+                           _resolve(t.right, param, bits, pos))
+    if isinstance(t, RatioChoice):
+        return RatioChoice(t.i, t.j, _resolve(t.left, param, bits, pos),
+                           _resolve(t.right, param, bits, pos))
+    return t  # chains are atomic
+
+
+def stratify(ctx: Context, t: Term, k: int) -> TreeDiagram:
+    """Average a nu-pushed, level-raised term into a depth-k diagram.
+
+    Leaf ``s`` of each parameter's diagram is the uniform mixture of the
+    ``C(k, s)`` resolutions whose bit vector has ``s`` right branches; the
+    k! path permutations never get enumerated.
+    """
+    counts = choice_counts(t)
+    if counts and k < max(counts.values()):
+        raise TermError(f"depth k={k} below required {max(counts.values())}")
+
+    def go(params: tuple[str, ...], term: Term) -> dict[tuple[int, ...], Term]:
+        if not params:
+            return {(): term}
+        p, rest = params[0], params[1:]
+        out: dict[tuple[int, ...], Term] = {}
+        for s in range(k + 1):
+            picks = [bits for bits in itertools.product((0, 1), repeat=k)
+                     if sum(bits) == s]
+            averaged = multichoice([(1, _resolve(term, p, bits)) for bits in picks])
+            for index, leaf in go(rest, averaged).items():
+                out[(s,) + index] = leaf
+        return out
+
+    return TreeDiagram(ctx.params, k, go(ctx.params, t))
+
+
+def _pull_ratios(t: Term) -> Term:
+    """Hoist ratio choices above binders (C4) so leaves become ratio trees."""
+    if isinstance(t, VarApp):
+        return t
+    if isinstance(t, RatioChoice):
+        return RatioChoice(t.i, t.j, _pull_ratios(t.left), _pull_ratios(t.right))
+    if isinstance(t, Nu):
+        return _nu_over(t.i, t.j, t.param, _pull_ratios(t.body))
+    raise TermError("leaf contains a parameter choice")
+
+
+def _nu_over(i: int, j: int, p: str, body: Term) -> Term:
+    if isinstance(body, RatioChoice):
+        return RatioChoice(body.i, body.j,
+                           _nu_over(i, j, p, body.left),
+                           _nu_over(i, j, p, body.right))
+    return Nu(i, j, p, body)
+
+
+def chain_distribution(ctx: Context, leaf: Term) -> dict[Chain, Fraction]:
+    """Exact chain distribution of a leaf (ratio choices over nu-runs)."""
+    out: dict[Chain, Fraction] = {}
+
+    def walk(node: Term, weight: Fraction) -> None:
+        if isinstance(node, RatioChoice):
+            total = node.i + node.j
+            if total <= 0:
+                raise TermError("ratio choice with zero total weight")
+            if node.i:
+                walk(node.left, weight * Fraction(node.i, total))
+            if node.j:
+                walk(node.right, weight * Fraction(node.j, total))
+            return
+        chain = chain_from_term(ctx, node)
+        out[chain] = out.get(chain, Fraction(0)) + weight
+
+    walk(_pull_ratios(leaf), Fraction(1))
+    return out
+
+
+def collect_chains(ctx: Context, leaf: Term) -> tuple[tuple[Chain, ...], tuple[int, ...]]:
+    """Distinct sorted chains of a leaf with primitive integer weights."""
+    dist = chain_distribution(ctx, leaf)
+    chains = tuple(sorted(dist, key=Chain.sort_key))
+    weights = _primitive([dist[c] for c in chains])
+    return chains, weights

@@ -4,7 +4,9 @@
 at run time, so a renamed function or a changed signature breaks only the
 traced benchmark run.  This test installs the tracer in a fresh
 interpreter, calls each traced function once on tiny inputs, and checks
-that every span and count was recorded.
+that every span and count was recorded.  A second test runs the CLI with
+every import of scipy made to fail, so no third-party runtime dependency
+creeps back in.
 """
 
 import json
@@ -35,6 +37,7 @@ sweep = semantics.functional_eq(ground, one, reified)
 sampled = semantics.functional_eq_sampled(ground, one, reified, random.Random(1))
 for impl in ("polya", "betabern"):
     simulate.estimate(ground, one, 300, 1, impl)
+simulate.compare(ground, one, 300, 1, "polya")
 
 print(json.dumps({
     "verdicts": [sweep, sampled],
@@ -46,7 +49,7 @@ print(json.dumps({
 SPANS = {
     "terms.parse", "terms.check_wellformed", "normalizer.push", "normalizer.raise",
     "normalizer.tables", "normalizer.reify", "decide.compare", "semantics.sweep",
-    "semantics.sampled", "simulate.polya", "simulate.betabern",
+    "semantics.sampled", "simulate.polya", "simulate.betabern", "simulate.chi2",
 }
 
 
@@ -63,4 +66,25 @@ def test_tracer_wraps_every_traced_function():
     # arity 0; the sampled check builds its arguments through Poly.make
     assert out["counts"]["semantics.sweep.args"] == 2
     assert out["counts"]["poly.make.calls"] >= 2
-    assert out["counts"]["simulate.trials"] == 600
+    # two estimates and the one inside compare
+    assert out["counts"]["simulate.trials"] == 900
+
+
+NO_SCIPY = r"""
+import sys
+
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from betabern.cli import main
+
+sys.exit(main(["simulate", "--context", "params: - ; vars: y:0, z:0",
+               "-t", "nu[1,1]p.pch[p](pch[p](y,z), z)",
+               "--impl", "polya", "--trials", "20000", "--seed", "13", "--no-banner"]))
+"""
+
+
+def test_runs_without_scipy():
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "pass: yes" in proc.stdout

@@ -1,6 +1,11 @@
 """Command-line interface: exit codes, output stability, file handling."""
 
 import json
+import os
+import subprocess
+import sys
+
+import pytest
 
 from betabern.cli import EX_DATAERR, EX_USAGE, main
 
@@ -193,3 +198,36 @@ class TestPaperSuite:
         lines = out.strip().splitlines()
         assert all(line.startswith("PASS") for line in lines[:-1])
         assert "checks passed" in lines[-1]
+
+
+class TestDeepInput:
+    """A deeply nested term is a clean refusal, not an internal error.
+
+    Run in a fresh interpreter, as users run the CLI, so that the stack
+    depth the test runner adds does not move the limit.
+    """
+
+    CONTEXT = "params: - ; vars: y:0, z:0"
+
+    def cli(self, command, depth):
+        deep = "rch[1,2](z, " * depth + "y" + ")" * depth
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        terms = ["-t", deep] * (2 if command == "decide" else 1)
+        return subprocess.run(
+            [sys.executable, "-m", "betabern.cli", command, "--context", self.CONTEXT,
+             *terms, "--no-banner"],
+            capture_output=True, text=True, env=env, timeout=60)
+
+    @pytest.mark.parametrize("command", ["normalize", "decide"])
+    @pytest.mark.parametrize("depth", [1000, 3000])
+    def test_too_deep_exits_65(self, command, depth):
+        proc = self.cli(command, depth)
+        assert proc.returncode == EX_DATAERR, proc.stderr
+        assert proc.stderr == "error: term nested too deeply\n"
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["normalize", "decide"])
+    def test_depth_900_still_decided(self, command):
+        proc = self.cli(command, 900)
+        assert proc.returncode == 0, proc.stderr

@@ -13,7 +13,6 @@ from betabern import (
     RatioChoice,
     VarApp,
     alpha_eq,
-    collect_chains,
     join_normalize,
     normal_form_to_dict,
     normalize,
@@ -22,10 +21,8 @@ from betabern import (
     push_nu_to_leaves,
     raise_level,
     reify,
-    stratify,
 )
 from betabern.normalizer import (
-    chain_distribution,
     chain_from_term,
     choice_counts,
     format_normal_form,
@@ -35,6 +32,7 @@ from betabern.normalizer import (
 )
 from betabern.semantics import functional_eq, functional_eq_sampled
 from betabern.terms import TermError, check_wellformed, free_params
+from refnorm import chain_distribution, collect_chains, stratify
 from termgen import gen_term, rewrite_chain
 
 YZ = parse_context("params: - ; vars: y:0, z:0")

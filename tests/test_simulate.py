@@ -14,7 +14,7 @@ from betabern import (
     run_betabern,
     run_polya,
 )
-from betabern.simulate import chi_square_stat, compare_counts, check_ground
+from betabern.simulate import SIGNIFICANCE, chi2, chi_square_stat, compare_counts, check_ground
 from betabern.terms import TermError
 from termgen import gen_ground_term
 
@@ -133,6 +133,34 @@ class TestChiSquare:
         t = parse_term("rch[1,1](y, z)", YZ)
         with pytest.raises(TermError, match="too small"):
             compare(YZ, t, trials=3, seed=0, impl="polya")
+
+
+# chi2.ppf(0.999, dof) as computed by scipy.stats 1.17
+CHI2_999 = {
+    1: 10.827566170662733,
+    2: 13.815510557964274,
+    3: 16.26623619623813,
+    4: 18.46682695290317,
+    5: 20.515005652432873,
+    7: 24.321886347856854,
+    10: 29.58829844507442,
+    30: 59.70306430442994,
+    100: 149.44925277903886,
+    1000: 1143.9170926196791,
+}
+
+
+class TestChiSquareQuantile:
+    @pytest.mark.parametrize("dof", sorted(CHI2_999))
+    def test_matches_pinned_table(self, dof):
+        assert chi2.ppf(1 - SIGNIFICANCE, dof) == pytest.approx(CHI2_999[dof], rel=1e-12)
+
+    @pytest.mark.parametrize("dof", [1, 2, 7, 5000])
+    def test_survival_at_quantile(self, dof):
+        # at large dof exp(-x/2) alone underflows; the log-space terms do not
+        x = chi2.ppf(1 - SIGNIFICANCE, dof)
+        assert chi2.sf(x, dof) == pytest.approx(SIGNIFICANCE, rel=1e-9)
+        assert chi2.sf(0.0, dof) == 1.0
 
 
 class TestAgreement:
