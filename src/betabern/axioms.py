@@ -371,10 +371,6 @@ def apply_axiom(t: Term, step: RewriteStep) -> Term:
 # --- derived macro rules ---------------------------------------------------
 
 
-def _flip(direction: str) -> str:
-    return "rl" if direction == "lr" else "lr"
-
-
 def expand_scale(t: Term, path: Path, factor: int, direction: str) -> list[RewriteStep]:
     """Steps multiplying (``rl``) or dividing (``lr``) ratio weights by ``factor``.
 

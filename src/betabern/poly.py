@@ -139,9 +139,6 @@ class Poly:
         i = self.vars.index(name)
         return max((e[i] for e in self.terms), default=0)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def compose_monomials(self, formals: tuple[str, ...], actuals: tuple[str, ...]) -> Poly:
         """Rename variables positionally via ``formals -> actuals``.
 
@@ -373,9 +370,9 @@ def _poly_tokens(src: str):
             tokens.append(("ident", src[i:j]))
             i = j
             continue
-        if c.isdigit():
+        if "0" <= c <= "9":
             j = i
-            while j < len(src) and src[j].isdigit():
+            while j < len(src) and "0" <= src[j] <= "9":
                 j += 1
             tokens.append(("nat", src[i:j]))
             i = j

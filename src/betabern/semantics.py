@@ -158,10 +158,6 @@ class FuncArg:
     def constant(value) -> FuncArg:
         return FuncArg((), Poly.const(value))
 
-    @staticmethod
-    def for_arity(m: int, poly: Poly) -> FuncArg:
-        return FuncArg(standard_formals(m), poly)
-
 
 def standard_formals(m: int) -> tuple[str, ...]:
     return tuple(f"r{s}" for s in range(1, m + 1))

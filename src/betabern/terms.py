@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 RESERVED_WORDS = frozenset({"rch", "pch", "nu", "params", "vars"})
 
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+_IDENT = r"[A-Za-z][A-Za-z0-9_]*"
+_IDENT_RE = re.compile(_IDENT + r"\Z")
 
 
 class TermError(Exception):
@@ -216,16 +217,6 @@ def all_params(t: Term) -> frozenset[str]:
     raise TermError(f"not a term: {t!r}")
 
 
-def vars_used(t: Term) -> frozenset[str]:
-    if isinstance(t, VarApp):
-        return frozenset((t.var,))
-    if isinstance(t, (RatioChoice, ParamChoice)):
-        return vars_used(t.left) | vars_used(t.right)
-    if isinstance(t, Nu):
-        return vars_used(t.body)
-    raise TermError(f"not a term: {t!r}")
-
-
 @dataclass(frozen=True)
 class Violation:
     """A single well-formedness defect, located by a path into the term."""
@@ -393,241 +384,188 @@ def substitute(t: Term, bindings: dict[str, tuple[tuple[str, ...], Term]]) -> Te
 #           | "pch[" IDENT "](" term "," term ")"
 #           | "nu[" NAT "," NAT "]" IDENT "." term
 #   app    := IDENT | IDENT "(" IDENT ("," IDENT)* ")"
+#   IDENT  := [A-Za-z][A-Za-z0-9_]*
+#   NAT    := [0-9]+
+#
+# Whitespace (``str.isspace``, which is what ``\s`` matches) separates
+# tokens; any other character outside these tokens is an error.
+
+_TOKEN_RE = re.compile(rf"{_IDENT}|[0-9]+|[][(),.;:-]|(\S)")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # IDENT NAT PUNCT EOF
-    text: str
-    line: int
-    col: int
+class _Cursor:
+    """The tokens of one text and a position in them.
 
+    A token is ``(text, offset)``; its kind is read from its first
+    character, and the end of input is ``("", len(src))``.  The whole text
+    is scanned up front, so a bad character is reported before any syntax
+    error that comes earlier in the text.
+    """
 
-def _tokenize(src: str) -> list[_Token]:
-    toks = []
-    line, col = 1, 1
-    i = 0
-    while i < len(src):
-        c = src[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c.isspace():
-            col += 1
-            i += 1
-            continue
-        if c.isalpha():
-            j = i
-            while j < len(src) and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(_Token("IDENT", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < len(src) and src[j].isdigit():
-                j += 1
-            toks.append(_Token("NAT", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c in "[](),.;:-":
-            toks.append(_Token("PUNCT", c, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(_Token("EOF", "", line, col))
-    return toks
-
-
-class _TermParser:
-    def __init__(self, src: str, ctx: Context):
-        self.toks = _tokenize(src)
+    def __init__(self, src: str):
+        self.src = src
+        self.toks = []
+        for m in _TOKEN_RE.finditer(src):
+            tok = (m.group(), m.start())
+            if m.lastindex:
+                self.fail(f"unexpected character {tok[0]!r}", tok)
+            self.toks.append(tok)
+        self.toks.append(("", len(src)))
         self.pos = 0
-        self.ctx = ctx
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple[str, int]:
         return self.toks[self.pos]
 
-    def next(self) -> _Token:
+    def next(self) -> tuple[str, int]:
         tok = self.toks[self.pos]
         self.pos += 1
         return tok
 
-    def fail(self, message: str, tok: _Token | None = None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col)
+    def fail(self, message: str, tok: tuple[str, int] | None = None):
+        """Raise a :class:`ParseError` at ``tok`` (default: the next token)."""
+        offset = (tok or self.peek())[1]
+        line = self.src.count("\n", 0, offset) + 1
+        raise ParseError(message, line, offset - self.src.rfind("\n", 0, offset))
 
-    def expect_punct(self, text: str) -> _Token:
+    def expect(self, text: str) -> None:
         tok = self.next()
-        if tok.kind != "PUNCT" or tok.text != text:
-            self.fail(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok)
-        return tok
+        if tok[0] != text:
+            self.fail(f"expected {text!r}, found {tok[0] or 'end of input'!r}", tok)
 
     def expect_nat(self) -> int:
         tok = self.next()
-        if tok.kind != "NAT":
-            self.fail(f"expected a number, found {tok.text or 'end of input'!r}", tok)
-        return int(tok.text)
+        if not tok[0][:1].isdigit():
+            self.fail(f"expected a number, found {tok[0] or 'end of input'!r}", tok)
+        return int(tok[0])
 
-    def expect_ident(self) -> _Token:
+    def expect_ident(self) -> tuple[str, int]:
         tok = self.next()
-        if tok.kind != "IDENT":
-            self.fail(f"expected an identifier, found {tok.text or 'end of input'!r}", tok)
+        if not tok[0][:1].isalpha():
+            self.fail(f"expected an identifier, found {tok[0] or 'end of input'!r}", tok)
         return tok
 
-    def term(self, scope: frozenset[str]) -> Term:
-        tok = self.peek()
-        if tok.kind != "IDENT":
-            self.fail(f"expected a term, found {tok.text or 'end of input'!r}")
-        if tok.text == "rch":
-            self.next()
-            self.expect_punct("[")
-            i = self.expect_nat()
-            self.expect_punct(",")
-            j = self.expect_nat()
-            if i + j == 0:
-                self.fail("ratio choice needs total weight i+j > 0", tok)
-            self.expect_punct("]")
-            self.expect_punct("(")
-            left = self.term(scope)
-            self.expect_punct(",")
-            right = self.term(scope)
-            self.expect_punct(")")
-            return RatioChoice(i, j, left, right)
-        if tok.text == "pch":
-            self.next()
-            self.expect_punct("[")
-            p = self.expect_ident()
-            if p.text not in scope:
-                self.fail(f"parameter {p.text!r} not in scope", p)
-            self.expect_punct("]")
-            self.expect_punct("(")
-            left = self.term(scope)
-            self.expect_punct(",")
-            right = self.term(scope)
-            self.expect_punct(")")
-            return ParamChoice(p.text, left, right)
-        if tok.text == "nu":
-            self.next()
-            self.expect_punct("[")
-            i = self.expect_nat()
-            self.expect_punct(",")
-            j = self.expect_nat()
-            if i < 1 or j < 1:
-                self.fail(f"nu binder needs positive hyperparameters, got ({i},{j})", tok)
-            self.expect_punct("]")
-            p = self.expect_ident()
-            if p.text in RESERVED_WORDS:
-                self.fail(f"{p.text!r} is a reserved word", p)
-            if p.text in scope or p.text in self.ctx.all_names():
-                self.fail(f"binder {p.text!r} rebinds a name in scope", p)
-            self.expect_punct(".")
-            body = self.term(scope | {p.text})
-            return Nu(i, j, p.text, body)
-        # variable application
-        self.next()
-        name = tok.text
-        if name in RESERVED_WORDS:
-            self.fail(f"{name!r} is a reserved word", tok)
-        arity = self.ctx.arity(name)
-        if arity is None:
-            if name in scope:
-                self.fail(f"parameter {name!r} used as a term", tok)
-            self.fail(f"unknown variable {name!r}", tok)
-        args: list[str] = []
-        if self.peek().kind == "PUNCT" and self.peek().text == "(":
-            self.next()
-            if not (self.peek().kind == "PUNCT" and self.peek().text == ")"):
-                while True:
-                    a = self.expect_ident()
-                    if a.text not in scope:
-                        self.fail(f"parameter {a.text!r} not in scope", a)
-                    args.append(a.text)
-                    if self.peek().kind == "PUNCT" and self.peek().text == ",":
-                        self.next()
-                        continue
+
+def _term(cur: _Cursor, ctx: Context, scope: frozenset[str]) -> Term:
+    tok = cur.peek()
+    name = tok[0]
+    if not name[:1].isalpha():
+        cur.fail(f"expected a term, found {name or 'end of input'!r}")
+    cur.next()
+    if name == "rch":
+        cur.expect("[")
+        i = cur.expect_nat()
+        cur.expect(",")
+        j = cur.expect_nat()
+        if i + j == 0:
+            cur.fail("ratio choice needs total weight i+j > 0", tok)
+        cur.expect("]")
+        cur.expect("(")
+        left = _term(cur, ctx, scope)
+        cur.expect(",")
+        right = _term(cur, ctx, scope)
+        cur.expect(")")
+        return RatioChoice(i, j, left, right)
+    if name == "pch":
+        cur.expect("[")
+        p = cur.expect_ident()
+        if p[0] not in scope:
+            cur.fail(f"parameter {p[0]!r} not in scope", p)
+        cur.expect("]")
+        cur.expect("(")
+        left = _term(cur, ctx, scope)
+        cur.expect(",")
+        right = _term(cur, ctx, scope)
+        cur.expect(")")
+        return ParamChoice(p[0], left, right)
+    if name == "nu":
+        cur.expect("[")
+        i = cur.expect_nat()
+        cur.expect(",")
+        j = cur.expect_nat()
+        if i < 1 or j < 1:
+            cur.fail(f"nu binder needs positive hyperparameters, got ({i},{j})", tok)
+        cur.expect("]")
+        p = cur.expect_ident()
+        if p[0] in RESERVED_WORDS:
+            cur.fail(f"{p[0]!r} is a reserved word", p)
+        if p[0] in scope or p[0] in ctx.all_names():
+            cur.fail(f"binder {p[0]!r} rebinds a name in scope", p)
+        cur.expect(".")
+        body = _term(cur, ctx, scope | {p[0]})
+        return Nu(i, j, p[0], body)
+    # variable application
+    if name in RESERVED_WORDS:
+        cur.fail(f"{name!r} is a reserved word", tok)
+    arity = ctx.arity(name)
+    if arity is None:
+        if name in scope:
+            cur.fail(f"parameter {name!r} used as a term", tok)
+        cur.fail(f"unknown variable {name!r}", tok)
+    args: list[str] = []
+    if cur.peek()[0] == "(":
+        cur.next()
+        if cur.peek()[0] != ")":
+            while True:
+                a = cur.expect_ident()
+                if a[0] not in scope:
+                    cur.fail(f"parameter {a[0]!r} not in scope", a)
+                args.append(a[0])
+                if cur.peek()[0] != ",":
                     break
-            self.expect_punct(")")
-        if len(args) != arity:
-            self.fail(f"variable {name!r} expects {arity} parameters, got {len(args)}", tok)
-        return VarApp(name, tuple(args))
+                cur.next()
+        cur.expect(")")
+    if len(args) != arity:
+        cur.fail(f"variable {name!r} expects {arity} parameters, got {len(args)}", tok)
+    return VarApp(name, tuple(args))
 
 
 def parse_term(src: str, ctx: Context) -> Term:
     """Parse a term against a context; raise :class:`ParseError` on defects."""
-    parser = _TermParser(src, ctx)
-    t = parser.term(frozenset(ctx.params))
-    tok = parser.peek()
-    if tok.kind != "EOF":
-        parser.fail(f"trailing input {tok.text!r}", tok)
+    cur = _Cursor(src)
+    t = _term(cur, ctx, frozenset(ctx.params))
+    if cur.peek()[0]:
+        cur.fail(f"trailing input {cur.peek()[0]!r}")
     return t
 
 
 def parse_context(src: str) -> Context:
     """Parse a context declaration like ``params: p, q ; vars: x:2, y:0``."""
-    toks = _tokenize(src)
-    pos = 0
-
-    def peek():
-        return toks[pos]
-
-    def advance():
-        nonlocal pos
-        tok = toks[pos]
-        pos += 1
-        return tok
-
-    def fail(message, tok=None):
-        tok = tok or peek()
-        raise ParseError(message, tok.line, tok.col)
-
-    def expect(kind, text=None):
-        tok = advance()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            fail(f"expected {text or kind!r}, found {tok.text or 'end of input'!r}", tok)
-        return tok
+    cur = _Cursor(src)
 
     def name_list(section):
         # '-' or empty means no entries
         out = []
-        if peek().kind == "PUNCT" and peek().text == "-":
-            advance()
+        if cur.peek()[0] == "-":
+            cur.next()
             return out
-        while peek().kind == "IDENT":
-            tok = advance()
-            if tok.text in RESERVED_WORDS:
-                fail(f"{tok.text!r} is a reserved word", tok)
+        while cur.peek()[0][:1].isalpha():
+            tok = cur.next()
+            if tok[0] in RESERVED_WORDS:
+                cur.fail(f"{tok[0]!r} is a reserved word", tok)
             if section == "vars":
                 arity = 0
-                if peek().kind == "PUNCT" and peek().text == ":":
-                    advance()
-                    t = advance()
-                    if t.kind != "NAT":
-                        fail("expected an arity", t)
-                    arity = int(t.text)
-                out.append((tok.text, arity))
+                if cur.peek()[0] == ":":
+                    cur.next()
+                    if not cur.peek()[0][:1].isdigit():
+                        cur.fail("expected an arity")
+                    arity = cur.expect_nat()
+                out.append((tok[0], arity))
             else:
-                out.append(tok.text)
-            if peek().kind == "PUNCT" and peek().text == ",":
-                advance()
-                continue
-            break
+                out.append(tok[0])
+            if cur.peek()[0] != ",":
+                break
+            cur.next()
         return out
 
-    expect("IDENT", "params")
-    expect("PUNCT", ":")
+    cur.expect("params")
+    cur.expect(":")
     params = name_list("params")
-    expect("PUNCT", ";")
-    expect("IDENT", "vars")
-    expect("PUNCT", ":")
+    cur.expect(";")
+    cur.expect("vars")
+    cur.expect(":")
     vars_ = name_list("vars")
-    if peek().kind != "EOF":
-        fail(f"trailing input {peek().text!r}")
+    if cur.peek()[0]:
+        cur.fail(f"trailing input {cur.peek()[0]!r}")
     try:
         return Context(tuple(params), tuple(vars_))
     except TermError as e:

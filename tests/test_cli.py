@@ -144,6 +144,22 @@ class TestEval:
         assert code == EX_DATAERR and "unknown variable" in err
 
 
+class TestNonAsciiInput:
+    """Non-ASCII digits and letters are bad characters, not crashes."""
+
+    @pytest.mark.parametrize("argv", [
+        ("normalize", "--context", YZ, "-t", "rch[\u00b2,1](y,z)"),
+        ("check", "--context", "params: - ; vars: y:\u00b2", "-t", "y"),
+        ("eval", "--context", "params: - ; vars: x:1", "-t", "nu[1,1]p.x(p)",
+         "-a", "f_x(a) = a^\u00b2"),
+    ])
+    def test_exits_65(self, capsys, argv):
+        code, _, err = run(capsys, *argv, "--no-banner")
+        assert code == EX_DATAERR, err
+        assert "unexpected character '\u00b2'" in err
+        assert "Traceback" not in err and "internal error" not in err
+
+
 class TestReplay:
     def test_golden_derivation_file(self, capsys, tmp_path):
         steps = tmp_path / "steps.txt"

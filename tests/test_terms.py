@@ -28,6 +28,10 @@ from termgen import gen_term
 CTX = parse_context("params: p ; vars: x:0, y:0")
 
 
+def parse_in_ctx(text):
+    return parse_term(text, CTX)
+
+
 class TestContext:
     def test_parse_round_trip(self):
         ctx = parse_context("params: p, q ; vars: x:2, y:0")
@@ -103,6 +107,26 @@ class TestParse:
             assert e.line == 1 and e.col > 10
         else:
             pytest.fail("expected a parse error")
+
+    @pytest.mark.parametrize("parse, text, message, line, col", [
+        (parse_in_ctx, "rch[1,1](x,\n\ty", "expected ')', found 'end of input'", 2, 3),
+        (parse_in_ctx, "rch[1,1](x,\r\n  y) z", "trailing input 'z'", 2, 6),
+        # a bad character is reported before an earlier syntax error
+        (parse_in_ctx, "rch[1,(x, y) $", "unexpected character '$'", 1, 14),
+        (parse_in_ctx, "nu[1,1]q.\n  x(q, q)",
+         "variable 'x' expects 0 parameters, got 2", 2, 3),
+        (parse_context, "params p", "expected ':', found 'p'", 1, 8),
+        (parse_context, "params: p ; vars: x:0, y:0 extra", "trailing input 'extra'", 1, 28),
+        # names and numbers are ASCII only
+        (parse_in_ctx, "rch[\u00b2,1](y,z)", "unexpected character '\u00b2'", 1, 5),
+        (parse_context, "params: - ; vars: y:\u00b2", "unexpected character '\u00b2'", 1, 21),
+        (parse_in_ctx, "rch[\u0661,1](y,z)", "unexpected character '\u0661'", 1, 5),
+        (parse_in_ctx, "nu[1,1]\u00e9.y", "unexpected character '\u00e9'", 1, 8),
+    ])
+    def test_error_message_and_position(self, parse, text, message, line, col):
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        assert (e.value.message, e.value.line, e.value.col) == (message, line, col)
 
     def test_whitespace_insensitive(self):
         ctx = parse_context("params: - ; vars: x:1")
