@@ -18,7 +18,7 @@ from .axioms import AxiomError, check_derivation, parse_derivation
 from .decide import equal
 from .normalizer import format_normal_form, normal_form_to_dict, normalize
 from .papersuite import run_paper_suite
-from .poly import PolyError, format_poly, parse_poly
+from .poly import NAME_RE, PolyError, format_poly, parse_poly
 from .semantics import FuncArg, interpret
 from .simulate import compare
 from .terms import (
@@ -174,8 +174,14 @@ def _print_verdict(ctx: Context, verdict, fmt: str, label: str = "") -> None:
 def _cmd_decide(opts) -> int:
     if opts.corpus:
         default_ctx = parse_context(opts.context) if opts.context else None
+        corpus = Path(opts.corpus)
+        if not corpus.is_dir():
+            raise TermError(f"corpus {opts.corpus!r} is not a directory")
+        paths = sorted(corpus.glob("*.bbt"))
+        if not paths:
+            raise TermError(f"corpus {opts.corpus!r} has no .bbt files")
         status = 0
-        for path in sorted(Path(opts.corpus).glob("*.bbt")):
+        for path in paths:
             ctx, t, u = _read_corpus_file(path, default_ctx)
             verdict = equal(ctx, t, u)
             _print_verdict(ctx, verdict, opts.format, label=path.name)
@@ -206,6 +212,9 @@ def _parse_func_arg(text: str, ctx: Context):
             raise PolyError(f"unbalanced formals in {head!r}")
         inner = rest[:-1].strip()
         formals = tuple(s.strip() for s in inner.split(",")) if inner else ()
+        for formal in formals:
+            if not NAME_RE.fullmatch(formal):
+                raise PolyError(f"formal {formal!r} in {head!r} is not an identifier")
     arity = ctx.arity(name)
     if arity is None:
         raise PolyError(f"unknown variable {name!r} in argument")
@@ -223,6 +232,8 @@ def _cmd_eval(opts) -> int:
     args = {}
     for text in opts.arg:
         name, arg = _parse_func_arg(text, ctx)
+        if name in args:
+            raise UsageError(f"repeated --arg for variable {name!r}")
         args[name] = arg
     missing = [name for name, _ in ctx.vars if name not in args]
     if missing:

@@ -3,9 +3,12 @@
 The pipeline has three stages, each a derivable-equality-preserving
 transformation:
 
-1. ``push_nu_to_leaves`` -- conjugacy and commutativity move every binder
-   down until binders sit in *chains*: maximal nu-runs ending in a variable
-   application.
+1. ``push_nu_to_leaves`` -- one top-down walk carries each binder down to
+   the leaves: a choice on its parameter becomes a ratio choice with the
+   binder's counts updated in each branch (conjugacy), other choices let
+   it pass (commutativity), and at a variable application it is kept only
+   if the application uses it (discard).  Binders then sit in *chains*:
+   maximal nu-runs ending in a variable application.
 2. ``raise_level`` -- every binder is expanded until its hyperparameters
    sum to a common level ``n`` (a ``nu[i,j]`` below level ``n`` becomes the
    beta-binomial mixture of the level-``n`` binders it refines to).
@@ -38,7 +41,6 @@ from .terms import (
     VarApp,
     check_wellformed,
     format_term,
-    free_params,
 )
 
 # argmap entries: ("F", g) is the g-th free parameter (1-based in the
@@ -202,41 +204,44 @@ def push_nu_to_leaves(t: Term) -> Term:
     """Rewrite until every binder body is another binder or the tip variable
     application that uses it; unused binders are discarded.
 
-    Zero-weight ratio branches are pruned on the way (the zero-weight law),
-    so the canonical level and depth downstream never depend on dead code.
+    One top-down walk carries the binders met so far as ``(param, i, j)``,
+    outermost first.  A choice on a pending parameter becomes the ratio
+    choice ``i : j`` whose branches continue with that binder updated to
+    ``(i+1, j)`` and ``(i, j+1)`` (Conj); any other choice passes the
+    binders to both branches (C3, C4); a variable application is wrapped
+    in the binders its arguments use, in nesting order, and the others are
+    dropped (D1).  Zero-weight ratio branches are pruned on the way (the
+    zero-weight law), so the canonical level and depth downstream never
+    depend on dead code.
+
+    The term must be well-formed: no binder shadows another.
     """
-    if isinstance(t, VarApp):
-        return t
-    if isinstance(t, RatioChoice):
-        if t.j == 0:
-            return push_nu_to_leaves(t.left)
-        if t.i == 0:
-            return push_nu_to_leaves(t.right)
-        return RatioChoice(t.i, t.j, push_nu_to_leaves(t.left), push_nu_to_leaves(t.right))
-    if isinstance(t, ParamChoice):
-        return ParamChoice(t.param, push_nu_to_leaves(t.left), push_nu_to_leaves(t.right))
-    if isinstance(t, Nu):
-        return _push_nu(t.i, t.j, t.param, push_nu_to_leaves(t.body))
-    raise TermError(f"not a term: {t!r}")
+    def go(t: Term, pending: tuple[tuple[str, int, int], ...]) -> Term:
+        if isinstance(t, VarApp):
+            out: Term = t
+            for p, i, j in reversed(pending):
+                if p in t.args:
+                    out = Nu(i, j, p, out)
+            return out
+        if isinstance(t, RatioChoice):
+            if t.j == 0:
+                return go(t.left, pending)
+            if t.i == 0:
+                return go(t.right, pending)
+            return RatioChoice(t.i, t.j, go(t.left, pending), go(t.right, pending))
+        if isinstance(t, ParamChoice):
+            for pos in range(len(pending) - 1, -1, -1):
+                p, i, j = pending[pos]
+                if p == t.param:  # Conj
+                    before, after = pending[:pos], pending[pos + 1:]
+                    return RatioChoice(i, j, go(t.left, before + ((p, i + 1, j),) + after),
+                                       go(t.right, before + ((p, i, j + 1),) + after))
+            return ParamChoice(t.param, go(t.left, pending), go(t.right, pending))  # C3
+        if isinstance(t, Nu):
+            return go(t.body, pending + ((t.param, t.i, t.j),))
+        raise TermError(f"not a term: {t!r}")
 
-
-def _push_nu(i: int, j: int, p: str, body: Term) -> Term:
-    if p not in free_params(body):
-        return body  # discard (D1)
-    if isinstance(body, ParamChoice):
-        if body.param == p:  # conjugate update (Conj)
-            return RatioChoice(i, j,
-                               _push_nu(i + 1, j, p, body.left),
-                               _push_nu(i, j + 1, p, body.right))
-        return ParamChoice(body.param,  # commute past a bias choice (C3)
-                           _push_nu(i, j, p, body.left),
-                           _push_nu(i, j, p, body.right))
-    if isinstance(body, RatioChoice):  # commute past a ratio choice (C4)
-        return RatioChoice(body.i, body.j,
-                           _push_nu(i, j, p, body.left),
-                           _push_nu(i, j, p, body.right))
-    # VarApp using p, or a nested chain: a chain tip.
-    return Nu(i, j, p, body)
+    return go(t, ())
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ matrices.  No floating point anywhere.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from operator import add
 
@@ -355,32 +356,16 @@ def parse_poly(src: str, allowed_vars=None) -> Poly:
     return out
 
 
+NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_POLY_TOKEN_RE = re.compile(
+    rf"(?P<ident>{NAME_RE.pattern})|(?P<nat>[0-9]+)|(?P<op>[-+*/^()])|(?P<bad>\S)")
+
+
 def _poly_tokens(src: str):
     tokens = []
-    i = 0
-    while i < len(src):
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < len(src) and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(("ident", src[i:j]))
-            i = j
-            continue
-        if "0" <= c <= "9":
-            j = i
-            while j < len(src) and "0" <= src[j] <= "9":
-                j += 1
-            tokens.append(("nat", src[i:j]))
-            i = j
-            continue
-        if c in "+-*/^()":
-            tokens.append(("op", c))
-            i += 1
-            continue
-        raise PolyError(f"unexpected character {c!r} in polynomial")
+    for m in _POLY_TOKEN_RE.finditer(src):
+        if m.lastgroup == "bad":
+            raise PolyError(f"unexpected character {m.group()!r} in polynomial")
+        tokens.append((m.lastgroup, m.group()))
     tokens.append(("end", ""))
     return tokens

@@ -150,6 +150,9 @@ class FuncArg:
     poly: Poly
 
     def __post_init__(self):
+        repeated = sorted({f for f in self.formals if self.formals.count(f) > 1})
+        if repeated:
+            raise PolyError(f"argument repeats formals {repeated}")
         stray = set(self.poly.vars) - set(self.formals)
         if stray:
             raise PolyError(f"argument uses undeclared formals {sorted(stray)}")

@@ -81,29 +81,22 @@ def check_ground(ctx: Context, t: Term) -> None:
 def run_polya(t: Term, rng: random.Random) -> str:
     """One run, drawing from evolving urns; returns the leaf variable."""
     urns: dict[str, list[int]] = {}
-
-    def go(t: Term) -> str:
-        if isinstance(t, VarApp):
-            return t.var
+    while not isinstance(t, VarApp):
         if isinstance(t, RatioChoice):
-            total = t.i + t.j
-            return go(t.left) if rng.random() * total < t.i else go(t.right)
-        if isinstance(t, ParamChoice):
+            t = t.left if rng.random() * (t.i + t.j) < t.i else t.right
+        elif isinstance(t, ParamChoice):
             urn = urns[t.param]
-            true_balls, false_balls = urn
-            if rng.random() * (true_balls + false_balls) < true_balls:
+            if rng.random() * (urn[0] + urn[1]) < urn[0]:
                 urn[0] += 1
-                return go(t.left)
-            urn[1] += 1
-            return go(t.right)
-        assert isinstance(t, Nu)
-        urns[t.param] = [t.i, t.j]
-        try:
-            return go(t.body)
-        finally:
-            del urns[t.param]
-
-    return go(t)
+                t = t.left
+            else:
+                urn[1] += 1
+                t = t.right
+        else:
+            assert isinstance(t, Nu)
+            urns[t.param] = [t.i, t.j]
+            t = t.body
+    return t.var
 
 
 def _sample_beta(i: int, j: int, rng: random.Random) -> float:
@@ -114,23 +107,16 @@ def _sample_beta(i: int, j: int, rng: random.Random) -> float:
 def run_betabern(t: Term, rng: random.Random) -> str:
     """One run, sampling each binder's bias once; returns the leaf variable."""
     bias: dict[str, float] = {}
-
-    def go(t: Term) -> str:
-        if isinstance(t, VarApp):
-            return t.var
+    while not isinstance(t, VarApp):
         if isinstance(t, RatioChoice):
-            total = t.i + t.j
-            return go(t.left) if rng.random() * total < t.i else go(t.right)
-        if isinstance(t, ParamChoice):
-            return go(t.left) if rng.random() < bias[t.param] else go(t.right)
-        assert isinstance(t, Nu)
-        bias[t.param] = _sample_beta(t.i, t.j, rng)
-        try:
-            return go(t.body)
-        finally:
-            del bias[t.param]
-
-    return go(t)
+            t = t.left if rng.random() * (t.i + t.j) < t.i else t.right
+        elif isinstance(t, ParamChoice):
+            t = t.left if rng.random() < bias[t.param] else t.right
+        else:
+            assert isinstance(t, Nu)
+            bias[t.param] = _sample_beta(t.i, t.j, rng)
+            t = t.body
+    return t.var
 
 
 _RUNNERS = {"polya": run_polya, "betabern": run_betabern}

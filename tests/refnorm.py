@@ -1,11 +1,16 @@
-"""Reference stages 3-4: build the averaged leaf terms, then collect them.
+"""Reference stages 1 and 3-4, written the long way as the definitions read.
+
+``betabern.normalizer.push_nu_to_leaves`` pushes binders in one top-down
+walk that carries them to the leaves.  The reference here works bottom-up:
+it pushes a binder's body first and then the binder through it, asking at
+every step whether the binder's parameter is still free below.
 
 ``betabern.normalizer._leaf_tables`` computes each leaf's chain
-distribution in closed form by one walk over the paths.  This module
-takes the long way, as the definition reads: resolve every parameter's
-choices by each bit vector, average the resolutions with ``s`` right
-branches into leaf ``s`` of a depth-``k`` tree diagram, hoist ratio
-choices above binders and sum the chain masses.  Tests compare the two.
+distribution in closed form by one walk over the paths.  The reference
+here resolves every parameter's choices by each bit vector, averages the
+resolutions with ``s`` right branches into leaf ``s`` of a depth-``k``
+tree diagram, hoists ratio choices above binders and sums the chain
+masses.  Tests compare each pair.
 """
 
 from __future__ import annotations
@@ -21,7 +26,57 @@ from betabern.normalizer import (
     choice_counts,
     multichoice,
 )
-from betabern.terms import Context, Nu, ParamChoice, RatioChoice, Term, TermError, VarApp
+from betabern.terms import (
+    Context,
+    Nu,
+    ParamChoice,
+    RatioChoice,
+    Term,
+    TermError,
+    VarApp,
+    free_params,
+)
+
+
+def push_nu_to_leaves(t: Term) -> Term:
+    """Rewrite until every binder body is another binder or the tip variable
+    application that uses it; unused binders are discarded.
+
+    Zero-weight ratio branches are pruned on the way (the zero-weight law),
+    so the canonical level and depth downstream never depend on dead code.
+    """
+    if isinstance(t, VarApp):
+        return t
+    if isinstance(t, RatioChoice):
+        if t.j == 0:
+            return push_nu_to_leaves(t.left)
+        if t.i == 0:
+            return push_nu_to_leaves(t.right)
+        return RatioChoice(t.i, t.j, push_nu_to_leaves(t.left), push_nu_to_leaves(t.right))
+    if isinstance(t, ParamChoice):
+        return ParamChoice(t.param, push_nu_to_leaves(t.left), push_nu_to_leaves(t.right))
+    if isinstance(t, Nu):
+        return _push_nu(t.i, t.j, t.param, push_nu_to_leaves(t.body))
+    raise TermError(f"not a term: {t!r}")
+
+
+def _push_nu(i: int, j: int, p: str, body: Term) -> Term:
+    if p not in free_params(body):
+        return body  # discard (D1)
+    if isinstance(body, ParamChoice):
+        if body.param == p:  # conjugate update (Conj)
+            return RatioChoice(i, j,
+                               _push_nu(i + 1, j, p, body.left),
+                               _push_nu(i, j + 1, p, body.right))
+        return ParamChoice(body.param,  # commute past a bias choice (C3)
+                           _push_nu(i, j, p, body.left),
+                           _push_nu(i, j, p, body.right))
+    if isinstance(body, RatioChoice):  # commute past a ratio choice (C4)
+        return RatioChoice(body.i, body.j,
+                           _push_nu(i, j, p, body.left),
+                           _push_nu(i, j, p, body.right))
+    # VarApp using p, or a nested chain: a chain tip.
+    return Nu(i, j, p, body)
 
 
 def _resolve(t: Term, param: str, bits: tuple[int, ...], pos: int = 0) -> Term:

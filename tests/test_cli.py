@@ -118,6 +118,17 @@ class TestDecide:
         assert code == 1
         assert "pair1.bbt: equal" in out and "pair2.bbt: not equal" in out
 
+    @pytest.mark.parametrize("name", ["missing", "empty"])
+    def test_corpus_without_files_exits_65(self, capsys, tmp_path, name):
+        # a missing or empty directory must not read as "all pairs equal"
+        corpus = tmp_path / name
+        if name == "empty":
+            corpus.mkdir()
+        code, out, err = run(capsys, "decide", "--context", YZ,
+                             "--corpus", str(corpus), "--no-banner")
+        assert code == EX_DATAERR and out == ""
+        assert err.startswith("error: corpus ") and err.count("\n") == 1
+
 
 class TestEval:
     def test_polynomial_output(self, capsys):
@@ -142,6 +153,25 @@ class TestEval:
                            "-a", "f_w = 1", "-a", "f_y = 0", "-a", "f_z = 0",
                            "--no-banner")
         assert code == EX_DATAERR and "unknown variable" in err
+
+    @pytest.mark.parametrize("context, term, arg", [
+        ("params: - ; vars: x:1", "nu[1,1]p.x(p)", "f_x(\u00e9) = \u00e9*\u00e9"),
+        ("params: - ; vars: x:2", "nu[1,1]p.nu[2,1]q.x(p,q)", "f_x(a,a) = a"),
+        ("params: - ; vars: x:1", "nu[1,1]p.x(p)", "f_x(1) = 1"),
+    ])
+    def test_bad_formals_exit_65(self, capsys, context, term, arg):
+        code, out, err = run(capsys, "eval", "--context", context, "-t", term,
+                             "-a", arg, "--no-banner")
+        assert code == EX_DATAERR and out == "", err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err and "internal error" not in err
+
+    def test_repeated_argument_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "eval", "--context", "params: - ; vars: x:1",
+                             "-t", "nu[1,1]p.x(p)", "-a", "f_x(a) = a", "-a", "f_x(b) = 1",
+                             "--no-banner")
+        assert code == EX_USAGE and out == ""
+        assert "repeated --arg" in err and "Traceback" not in err
 
 
 class TestNonAsciiInput:

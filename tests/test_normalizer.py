@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,7 @@ from betabern.normalizer import (
 from betabern.semantics import functional_eq, functional_eq_sampled
 from betabern.terms import TermError, check_wellformed, free_params
 from refnorm import chain_distribution, collect_chains, stratify
+from refnorm import push_nu_to_leaves as reference_push
 from termgen import gen_term, rewrite_chain
 
 YZ = parse_context("params: - ; vars: y:0, z:0")
@@ -89,6 +91,52 @@ class TestPushNu:
         assert chains_at_leaves(out)
         assert check_wellformed(ctx, out) == []
         assert functional_eq_sampled(ctx, t, out, rng)
+
+
+class TestPushMatchesReference:
+    """The top-down push builds exactly the bottom-up reference's term."""
+
+    CONTEXTS = [parse_context(text) for text in (
+        "params: - ; vars: y:0, z:0, w:0",
+        "params: p ; vars: x:1, y:0",
+        "params: p, q ; vars: x:2, y:0, z:1",
+    )]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(3, 60))
+    def test_random_terms(self, seed, size):
+        rng = random.Random(seed)
+        for ctx in self.CONTEXTS:
+            # weights 0-4: ratio choices with a zero-weight branch occur
+            t = gen_term(rng, ctx, size, weight_max=4)
+            assert push_nu_to_leaves(t) == reference_push(t)
+
+    def test_long_one_parameter_spine(self):
+        t = VarApp("y")
+        for _ in range(500):
+            t = ParamChoice("q", VarApp("z"), t)
+        t = Nu(1, 1, "q", t)
+        out = push_nu_to_leaves(t)
+        assert (out.i, out.j) == (1, 1)
+        # dataclass ``==`` takes two stack frames per level of the result
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, 3000))
+        try:
+            assert out == reference_push(t)
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_nested_two_binder_spine(self):
+        # the spine runs on both sides of the choices, past leaves that
+        # use both binders, one of them, or neither
+        t = VarApp("x", ("p", "q"))
+        for step in range(60):
+            leaf = (VarApp("x", ("q", "p")), VarApp("y", ("q",)), VarApp("z"))[step % 3]
+            param = "pq"[step % 2]
+            t = ParamChoice(param, leaf, t) if step % 4 < 2 else ParamChoice(param, t, leaf)
+            t = RatioChoice(2, step % 3, t, VarApp("x", ("q", "p")))
+        t = Nu(2, 1, "p", Nu(1, 3, "q", t))
+        assert push_nu_to_leaves(t) == reference_push(t)
 
 
 class TestRaiseLevel:

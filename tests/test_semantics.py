@@ -94,6 +94,13 @@ class TestPoly:
         with pytest.raises(PolyError):
             parse_poly("a + b", allowed_vars={"a"})
 
+    def test_identifiers_are_ascii(self):
+        assert parse_poly("a_1*_B2").vars == ("_B2", "a_1")
+        with pytest.raises(PolyError, match="unexpected character '\u00e9'"):
+            parse_poly("\u00e9*\u00e9")
+        with pytest.raises(PolyError, match="unexpected character '\u00b2'"):
+            parse_poly("a\u00b2")
+
     # Every operation must return what Poly.make builds from the same result
     # written densely over all of UNIVERSE, and keep the normal-form invariants.
 
@@ -285,6 +292,10 @@ class TestInterpret:
         t = parse_term("nu[1,1]p.x(p)", ctx)
         args = {"x": FuncArg(("r1",), Poly.var("r1"))}
         assert interpret(ctx, t, args) == Poly.const(F(1, 2))
+
+    def test_repeated_formals_rejected(self):
+        with pytest.raises(PolyError, match=r"repeats formals \['a'\]"):
+            FuncArg(("a", "b", "a"), Poly.var("a"))
 
     def test_two_draw_masses(self):
         ctx = parse_context("params: - ; vars: y:0, z:0")

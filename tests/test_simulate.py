@@ -6,6 +6,10 @@ from fractions import Fraction
 import pytest
 
 from betabern import (
+    Nu,
+    ParamChoice,
+    RatioChoice,
+    VarApp,
     compare,
     estimate,
     exact_distribution,
@@ -53,6 +57,36 @@ class TestRunners:
             a = estimate(YZ, t, trials=3000, seed=99, impl=impl)
             b = estimate(YZ, t, trials=3000, seed=99, impl=impl)
             assert a == b
+
+    # counts of the recursive samplers these loops replaced: a trial must
+    # call ``rng.random()`` in the same order, or the counts move
+    @pytest.mark.parametrize("ctx, text, seed, polya, betabern", [
+        (YZ, "nu[1,1]p.pch[p](pch[p](y,z), z)", 11,
+         {"y": 1035, "z": 1965}, {"y": 980, "z": 2020}),
+        (YZ, "nu[1,1]p.nu[1,1]q.pch[p](pch[q](y,z), z)", 12,
+         {"y": 751, "z": 2249}, {"y": 739, "z": 2261}),
+        (XYZ, "nu[2,1]p.rch[1,2](pch[p](x, nu[1,3]q.pch[q](y, pch[p](z, x))), pch[p](z, y))", 13,
+         {"x": 809, "y": 731, "z": 1460}, {"x": 781, "y": 773, "z": 1446}),
+    ])
+    def test_seeded_counts_pinned(self, ctx, text, seed, polya, betabern):
+        t = parse_term(text, ctx)
+        assert estimate(ctx, t, trials=3000, seed=seed, impl="polya") == polya
+        assert estimate(ctx, t, trials=3000, seed=seed, impl="betabern") == betabern
+
+    def test_deep_chain_needs_no_stack(self):
+        class AlwaysRight:
+            # every ratio and bias choice (and the Beta(1,1) bias) reads 3/4
+            def random(self):
+                return 0.75
+
+        t = VarApp("z")
+        for depth in range(5000):
+            t = RatioChoice(1, 1, VarApp("y"), t)
+            if depth % 2:
+                t = ParamChoice("p", VarApp("y"), t)
+        t = Nu(1, 1, "p", t)
+        assert run_polya(t, AlwaysRight()) == "z"
+        assert run_betabern(t, AlwaysRight()) == "z"
 
     def test_impl_validated(self):
         with pytest.raises(TermError, match="unknown implementation"):
