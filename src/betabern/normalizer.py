@@ -9,15 +9,20 @@ transformation:
    it pass (commutativity), and at a variable application it is kept only
    if the application uses it (discard).  Binders then sit in *chains*:
    maximal nu-runs ending in a variable application.
-2. ``raise_level`` -- every binder is expanded until its hyperparameters
-   sum to a common level ``n`` (a ``nu[i,j]`` below level ``n`` becomes the
-   beta-binomial mixture of the level-``n`` binders it refines to).
-3. ``_leaf_tables`` -- choices on each free parameter are averaged into a
+2. Raising -- every binder is expanded until its hyperparameters sum to
+   a common level ``n``: a ``nu[i,j]`` below level ``n`` becomes the
+   beta-binomial mixture of the level-``n`` binders it refines to.  After
+   stage 1 binders sit only in chains, so this is done per chain tip: each
+   tip stands for a memoised distribution over level-``n`` canonical
+   chains, read inside the walk of stage 3, and no raised term is built.
+   ``raise_level`` stays available as the same rewrite, term to term.
+3. ``_LeafWalk`` -- choices on each free parameter are averaged into a
    permutation-invariant depth-``k`` tree diagram whose leaves depend only
    on the number of right branches taken per parameter, and each leaf is
    collected into its distribution over alpha-canonical chains.  One walk
-   over the paths computes every leaf in closed form, without building the
-   averaged terms; ``tests/refnorm.py`` builds them, as the reference.
+   over the paths of the pushed term computes every leaf in closed form,
+   in integers, without building the raised or averaged terms;
+   ``tests/refnorm.py`` builds them, as the reference.
 
 Writing each leaf as a primitive-integer weighted multichoice over the
 distinct chains yields a :class:`NormalForm`: two well-formed terms are
@@ -29,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 
 from .terms import (
     Context,
@@ -245,7 +250,7 @@ def push_nu_to_leaves(t: Term) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# Stage 2: raise all binders to a common level n.
+# Stage 2 as a term rewrite: raise all binders to a common level n.
 
 
 def max_level(t: Term) -> int:
@@ -262,6 +267,19 @@ def _rising(x: int, a: int) -> int:
     out = 1
     for s in range(a):
         out *= x + s
+    return out
+
+
+def _binder_weights(i: int, j: int, n: int) -> list[tuple[int, int, int]]:
+    """The beta-binomial mixture that raises ``nu[i,j]`` to level ``n``:
+    ``(weight, i + a, j + m - a)`` for ``a = m..0`` with ``m = n - i - j``,
+    zero weights dropped.  The weights sum to ``rising(i + j, m)``."""
+    m = n - i - j
+    out = []
+    for a in range(m, -1, -1):
+        w = comb(m, a) * _rising(i, a) * _rising(j, m - a)
+        if w:
+            out.append((w, i + a, j + m - a))
     return out
 
 
@@ -305,16 +323,11 @@ def _nu_expand(i: int, j: int, p: str, body: Term, n: int) -> Term:
                            _nu_expand(i, j, p, body.right, n))
     if isinstance(body, ParamChoice):
         raise TermError("term is not in nu-pushed form")
-    m = n - i - j
-    if m == 0:
-        return Nu(i, j, p, body)
-    pairs = [(comb(m, a) * _rising(i, a) * _rising(j, m - a), Nu(i + a, j + m - a, p, body))
-             for a in range(m, -1, -1)]
-    return multichoice(pairs)
+    return multichoice([(w, Nu(ri, rj, p, body)) for w, ri, rj in _binder_weights(i, j, n)])
 
 
 # ---------------------------------------------------------------------------
-# Stages 3-4: the chain distribution at every leaf of the depth-k diagrams.
+# Stages 2-4: the chain distribution at every leaf of the depth-k diagrams.
 
 
 def choice_counts(t: Term) -> dict[str, int]:
@@ -333,77 +346,121 @@ def choice_counts(t: Term) -> dict[str, int]:
     raise TermError(f"not a term: {t!r}")
 
 
-def _primitive(fractions) -> tuple[int, ...]:
-    denom = 1
-    for f in fractions:
-        denom = lcm(denom, f.denominator)
-    ints = [int(f * denom) for f in fractions]
-    g = gcd(*ints) if any(ints) else 1
-    return tuple(w // g for w in ints) if g else tuple(ints)
-
-
-def _leaf_tables(ctx: Context, raised: Term, k: int) -> dict[tuple[int, ...], dict[Chain, Fraction]]:
-    """Chain distribution of every stratified leaf, via the closed form.
+class _LeafWalk:
+    """Stages 2-4 over pushed terms, in integers.
 
     A path that consumes ``d`` choices on a parameter, ``r`` of them right
     branches, lands in leaf ``s`` of that parameter's depth-k diagram with
     probability C(k-d, s-r)/C(k, s); contributions multiply across
-    parameters.  This is the composition of averaging each parameter's
-    choices into its diagram and collecting every leaf over its chains,
-    without building the averaged terms (``tests/refnorm.py`` builds them,
-    as a reference).
+    parameters, and the path ends at a chain tip that stands for its
+    level-``n`` raising.  This is the composition of raising, averaging
+    each parameter's choices into its diagram and collecting every leaf
+    over its chains, without building the raised or averaged terms
+    (``tests/refnorm.py`` builds them, as a reference).
+
+    Each path's probability is carried as an unreduced ``num/den`` of ints
+    and all paths are brought to one common denominator.  The factor
+    ``1/prod C(k, s)`` is the same for every path into leaf ``s`` and the
+    leaf is scaled to a primitive vector anyway, so it is left out: leaf
+    ``s`` then sums to ``common * prod C(k, s)``.  Chains get integer ids,
+    shared by every term walked, in order of first appearance.
     """
-    ell = len(ctx.params)
-    axis_of = {p: a for a, p in enumerate(ctx.params)}
-    tables: dict[tuple[int, ...], dict[Chain, Fraction]] = {}
-    chain_cache: dict[int, Chain] = {}
 
-    def walk(node: Term, weight: Fraction, consumed: tuple[int, ...], rights: tuple[int, ...]):
-        if isinstance(node, RatioChoice):
-            total = node.i + node.j
-            if node.i:
-                walk(node.left, weight * Fraction(node.i, total), consumed, rights)
-            if node.j:
-                walk(node.right, weight * Fraction(node.j, total), consumed, rights)
-            return
-        if isinstance(node, ParamChoice):
-            a = axis_of[node.param]
-            bumped = consumed[:a] + (consumed[a] + 1,) + consumed[a + 1:]
-            walk(node.left, weight, bumped, rights)
-            walk(node.right, weight, bumped,
-                 rights[:a] + (rights[a] + 1,) + rights[a + 1:])
-            return
-        chain = chain_cache.get(id(node))
-        if chain is None:
-            chain = chain_from_term(ctx, node)
-            chain_cache[id(node)] = chain
-        axes = []
-        for a in range(ell):
-            d, r = consumed[a], rights[a]
-            axes.append([(s, Fraction(comb(k - d, s - r), comb(k, s)))
-                         for s in range(r, r + (k - d) + 1)])
-        for combo in itertools.product(*axes):
-            w = weight
-            for _, factor in combo:
-                w *= factor
-            index = tuple(s for s, _ in combo)
-            leaf = tables.setdefault(index, {})
-            leaf[chain] = leaf.get(chain, Fraction(0)) + w
+    def __init__(self, ctx: Context, k: int, n: int):
+        self.ctx, self.k, self.n = ctx, k, n
+        self.chain_ids: dict[Chain, int] = {}
+        self.tips: dict[Term, tuple[int, list[tuple[int, int]]]] = {}
 
-    walk(raised, Fraction(1), (0,) * ell, (0,) * ell)
-    return tables
+    def tip(self, node: Term) -> tuple[int, list[tuple[int, int]]]:
+        """A chain tip raised to level ``n``: the total weight and the
+        ``(chain id, weight)`` pairs of its canonical level-``n`` chains,
+        one binder mixture per binder, multiplied."""
+        dist = self.tips.get(node)
+        if dist is not None:
+            return dist
+        binders = []
+        app = node
+        while isinstance(app, Nu):
+            binders.append(app)
+            app = app.body
+        # raising changes hyperparameters only: the canonical chain of the
+        # tip fixes the argument map, and the binder behind each position
+        base = chain_from_term(self.ctx, node)
+        position = {b.param: pos for pos, b in enumerate(binders)}
+        slots = [position[a] for a in dict.fromkeys(app.args) if a in position]
+        ids = self.chain_ids
+        pairs = []
+        for combo in itertools.product(*(_binder_weights(b.i, b.j, self.n) for b in binders)):
+            chain = Chain(tuple(combo[pos][1:] for pos in slots), base.var, base.argmap)
+            pairs.append((ids.setdefault(chain, len(ids)), prod([w for w, _, _ in combo])))
+        dist = self.tips[node] = (sum(w for _, w in pairs), pairs)
+        return dist
 
+    def leaves(self, pushed: Term) -> tuple[int, dict[tuple[int, ...], dict[int, int]]]:
+        """The common denominator and, per multi-index, chain id to weight."""
+        ell = len(self.ctx.params)
+        axis_of = {p: a for a, p in enumerate(self.ctx.params)}
+        # (consumed, rights, den) -> chain id -> numerator over den
+        by_den: dict[tuple, dict[int, int]] = {}
+        stack = [(pushed, 1, 1, (0,) * ell, (0,) * ell)]
+        while stack:
+            node, num, den, consumed, rights = stack.pop()
+            if isinstance(node, RatioChoice):
+                total = node.i + node.j
+                if node.i:
+                    stack.append((node.left, num * node.i, den * total, consumed, rights))
+                if node.j:
+                    stack.append((node.right, num * node.j, den * total, consumed, rights))
+            elif isinstance(node, ParamChoice):
+                a = axis_of[node.param]
+                bumped = consumed[:a] + (consumed[a] + 1,) + consumed[a + 1:]
+                stack.append((node.left, num, den, bumped, rights))
+                stack.append((node.right, num, den, bumped,
+                              rights[:a] + (rights[a] + 1,) + rights[a + 1:]))
+            else:
+                total, pairs = self.tip(node)
+                bucket = by_den.setdefault((consumed, rights, den * total), {})
+                for cid, w in pairs:
+                    bucket[cid] = bucket.get(cid, 0) + num * w
+        common = lcm(*(den for _, _, den in by_den))
+        by_sig: dict[tuple, dict[int, int]] = {}
+        for (consumed, rights, den), bucket in by_den.items():
+            scale = common // den
+            acc = by_sig.setdefault((consumed, rights), {})
+            for cid, v in bucket.items():
+                acc[cid] = acc.get(cid, 0) + v * scale
+        k = self.k
+        leaves: dict[tuple[int, ...], dict[int, int]] = {}
+        for (consumed, rights), acc in by_sig.items():
+            cells = [((), 1)]
+            for d, r in zip(consumed, rights):
+                cells = [(index + (s,), f * comb(k - d, s - r))
+                         for index, f in cells for s in range(r, r + k - d + 1)]
+            for index, f in cells:
+                leaf = leaves.setdefault(index, {})
+                for cid, v in acc.items():
+                    leaf[cid] = leaf.get(cid, 0) + f * v
+        return common, leaves
 
-def _assemble(ctx: Context, raised: Term, k: int, n: int) -> NormalForm:
-    tables = _leaf_tables(ctx, raised, k)
-    chains = tuple(sorted({c for leaf in tables.values() for c in leaf},
-                          key=Chain.sort_key))
-    weights = {}
-    for index in itertools.product(range(k + 1), repeat=len(ctx.params)):
-        leaf = tables[index]
-        assert sum(leaf.values()) == 1, "leaf mass must be 1"
-        weights[index] = _primitive([leaf.get(c, Fraction(0)) for c in chains])
-    return NormalForm(ctx, k, n, chains, weights)
+    def forms(self, pushed: list[Term]) -> list[NormalForm]:
+        """Normal forms of the pushed terms over the chains of all of them."""
+        tables = [self.leaves(t) for t in pushed]
+        chains = tuple(sorted(self.chain_ids, key=Chain.sort_key))
+        cols = [self.chain_ids[c] for c in chains]
+        ctx, k = self.ctx, self.k
+        binom = [comb(k, s) for s in range(k + 1)]
+        forms = []
+        for common, leaves in tables:
+            weights = {}
+            for index in itertools.product(range(k + 1), repeat=len(ctx.params)):
+                leaf = leaves[index]
+                vec = [leaf.get(cid, 0) for cid in cols]
+                assert sum(vec) == common * prod([binom[s] for s in index]), \
+                    "leaf mass must be 1"
+                g = gcd(*vec)
+                weights[index] = tuple([w // g for w in vec])
+            forms.append(NormalForm(ctx, k, self.n, chains, weights))
+        return forms
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +469,9 @@ def _assemble(ctx: Context, raised: Term, k: int, n: int) -> NormalForm:
 
 def _stage12(ctx: Context, terms: tuple[Term, ...], k: int | None = None,
              n: int | None = None) -> tuple[list[Term], int, int]:
-    """Check and push each term, then raise all of them to one level ``n``;
-    returns the raised terms with the common depth ``k`` and level ``n``."""
+    """Check and push each term and fix one depth ``k`` and level ``n`` for
+    all of them; returns the pushed terms with ``k`` and ``n``.  Raising
+    changes no choice count, so ``k`` is read off the pushed terms."""
     pushed = []
     for t in terms:
         bad = check_wellformed(ctx, t)
@@ -425,36 +483,25 @@ def _stage12(ctx: Context, terms: tuple[Term, ...], k: int | None = None,
         n = n_min
     elif n < n_min:
         raise TermError(f"level n={n} below minimum {n_min}")
-    raised = [raise_level(p, n) for p in pushed]
-    k_min = max((c for r in raised for c in choice_counts(r).values()), default=0)
+    k_min = max((c for p in pushed for c in choice_counts(p).values()), default=0)
     if k is None:
         k = k_min
     elif k < k_min:
         raise TermError(f"depth k={k} below minimum {k_min}")
-    return raised, k, n
+    return pushed, k, n
 
 
 def normalize(ctx: Context, t: Term, k: int | None = None, n: int | None = None) -> NormalForm:
     """Unique normal form of ``t`` at the canonical (or given) depth and level."""
-    (raised,), k, n = _stage12(ctx, (t,), k, n)
-    return _assemble(ctx, raised, k, n)
-
-
-def _widen(nf: NormalForm, chains: tuple[Chain, ...]) -> NormalForm:
-    position = {c: i for i, c in enumerate(nf.chains)}
-    weights = {}
-    for index, vec in nf.weights.items():
-        weights[index] = tuple(vec[position[c]] if c in position else 0 for c in chains)
-    return NormalForm(nf.ctx, nf.k, nf.n, chains, weights)
+    pushed, k, n = _stage12(ctx, (t,), k, n)
+    return _LeafWalk(ctx, k, n).forms(pushed)[0]
 
 
 def join_normalize(ctx: Context, t: Term, u: Term) -> tuple[NormalForm, NormalForm]:
     """Normal forms of both terms at common depth/level over merged chains."""
-    (raised_t, raised_u), k, n = _stage12(ctx, (t, u))
-    nf_t = _assemble(ctx, raised_t, k, n)
-    nf_u = _assemble(ctx, raised_u, k, n)
-    merged = tuple(sorted(set(nf_t.chains) | set(nf_u.chains), key=Chain.sort_key))
-    return _widen(nf_t, merged), _widen(nf_u, merged)
+    pushed, k, n = _stage12(ctx, (t, u))
+    nf_t, nf_u = _LeafWalk(ctx, k, n).forms(pushed)
+    return nf_t, nf_u
 
 
 # ---------------------------------------------------------------------------

@@ -192,17 +192,37 @@ def parse_path(text: str) -> Path:
 # Free parameters, well-formedness.
 
 
+_LEAVE = object()  # stack marker: the binder name below it goes out of scope
+
+
 def free_params(t: Term) -> frozenset[str]:
-    """Parameters occurring free in choice subscripts or variable arguments."""
-    if isinstance(t, VarApp):
-        return frozenset(t.args)
-    if isinstance(t, RatioChoice):
-        return free_params(t.left) | free_params(t.right)
-    if isinstance(t, ParamChoice):
-        return free_params(t.left) | free_params(t.right) | {t.param}
-    if isinstance(t, Nu):
-        return free_params(t.body) - {t.param}
-    raise TermError(f"not a term: {t!r}")
+    """Parameters occurring free in choice subscripts or variable arguments.
+
+    One walk with an explicit stack, so no recursion limit applies.  A
+    binder pushes its name and a marker below its body; popping the marker
+    means the walk leaves the binder's scope.
+    """
+    out: set[str] = set()
+    bound: dict[str, int] = {}
+    stack: list = [t]
+    while stack:
+        node = stack.pop()
+        if node is _LEAVE:
+            bound[stack.pop()] -= 1
+        elif isinstance(node, VarApp):
+            out.update(a for a in node.args if not bound.get(a))
+        elif isinstance(node, RatioChoice):
+            stack += (node.left, node.right)
+        elif isinstance(node, ParamChoice):
+            if not bound.get(node.param):
+                out.add(node.param)
+            stack += (node.left, node.right)
+        elif isinstance(node, Nu):
+            bound[node.param] = bound.get(node.param, 0) + 1
+            stack += (node.param, _LEAVE, node.body)
+        else:
+            raise TermError(f"not a term: {node!r}")
+    return frozenset(out)
 
 
 def all_params(t: Term) -> frozenset[str]:

@@ -5,23 +5,24 @@ walk that carries them to the leaves.  The reference here works bottom-up:
 it pushes a binder's body first and then the binder through it, asking at
 every step whether the binder's parameter is still free below.
 
-``betabern.normalizer._leaf_tables`` computes each leaf's chain
-distribution in closed form by one walk over the paths.  The reference
-here resolves every parameter's choices by each bit vector, averages the
-resolutions with ``s`` right branches into leaf ``s`` of a depth-``k``
-tree diagram, hoists ratio choices above binders and sums the chain
-masses.  Tests compare each pair.
+``betabern.normalizer._LeafWalk`` raises each chain tip and computes
+each leaf's chain distribution in closed form, in integers, by one walk
+over the paths of the pushed term.  The reference here takes the term
+that ``raise_level`` builds, resolves every parameter's choices by each
+bit vector, averages the resolutions with ``s`` right branches into leaf
+``s`` of a depth-``k`` tree diagram, hoists ratio choices above binders
+and sums the chain masses as fractions.  Tests compare each pair.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 
 from betabern.normalizer import (
     Chain,
     TreeDiagram,
-    _primitive,
     chain_from_term,
     choice_counts,
     multichoice,
@@ -160,6 +161,14 @@ def chain_distribution(ctx: Context, leaf: Term) -> dict[Chain, Fraction]:
 
     walk(_pull_ratios(leaf), Fraction(1))
     return out
+
+
+def _primitive(fractions) -> tuple[int, ...]:
+    """The primitive integer vector proportional to nonnegative fractions."""
+    denom = lcm(*(f.denominator for f in fractions))
+    ints = [int(f * denom) for f in fractions]
+    g = gcd(*ints)
+    return tuple(w // g for w in ints) if g else tuple(ints)
 
 
 def collect_chains(ctx: Context, leaf: Term) -> tuple[tuple[Chain, ...], tuple[int, ...]]:

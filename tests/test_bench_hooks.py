@@ -32,6 +32,7 @@ ground = terms.parse_context("params: - ; vars: y:0, z:0")
 one = terms.parse_term("nu[1,1]p.pch[p](pch[p](y,z), z)", ground)
 two = terms.parse_term("nu[1,1]p.nu[1,1]q.pch[p](pch[q](y,z), z)", ground)
 decide.equal(ground, one, two)
+normalizer.raise_level(normalizer.push_nu_to_leaves(one), 3)
 reified = normalizer.reify(normalizer.normalize(ground, one))
 sweep = semantics.functional_eq(ground, one, reified)
 sampled = semantics.functional_eq_sampled(ground, one, reified, random.Random(1))

@@ -24,6 +24,7 @@ from betabern import (
     reify,
 )
 from betabern.normalizer import (
+    _LeafWalk,
     chain_from_term,
     choice_counts,
     format_normal_form,
@@ -38,6 +39,11 @@ from refnorm import push_nu_to_leaves as reference_push
 from termgen import gen_term, rewrite_chain
 
 YZ = parse_context("params: - ; vars: y:0, z:0")
+CONTEXTS = [parse_context(text) for text in (
+    "params: - ; vars: y:0, z:0, w:0",
+    "params: p ; vars: x:1, y:0",
+    "params: p, q ; vars: x:2, y:0, z:1",
+)]
 
 
 def nu_free(t):
@@ -96,17 +102,11 @@ class TestPushNu:
 class TestPushMatchesReference:
     """The top-down push builds exactly the bottom-up reference's term."""
 
-    CONTEXTS = [parse_context(text) for text in (
-        "params: - ; vars: y:0, z:0, w:0",
-        "params: p ; vars: x:1, y:0",
-        "params: p, q ; vars: x:2, y:0, z:1",
-    )]
-
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2 ** 32), st.integers(3, 60))
     def test_random_terms(self, seed, size):
         rng = random.Random(seed)
-        for ctx in self.CONTEXTS:
+        for ctx in CONTEXTS:
             # weights 0-4: ratio choices with a zero-weight branch occur
             t = gen_term(rng, ctx, size, weight_max=4)
             assert push_nu_to_leaves(t) == reference_push(t)
@@ -242,21 +242,51 @@ class TestStratify:
         built = diagram.to_term()
         assert built.left.right is built.right.left  # same object, shared
 
-    def test_matches_assembled_tables(self):
-        rng = random.Random(9)
-        ctx = parse_context("params: p, q ; vars: x:1, y:0")
-        for _ in range(15):
-            t = push_nu_to_leaves(gen_term(rng, ctx, 12, weight_max=2))
-            n = max(2, max_level(t))
-            raised = raise_level(t, n)
-            k = max(choice_counts(raised).values(), default=0)
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(3, 40), st.integers(0, 2), st.integers(0, 1))
+    def test_matches_assembled_tables(self, seed, size, extra_n, extra_k):
+        # the fused walk against raising the term, stratifying it and
+        # collecting each leaf, with chain tips raised above their level
+        rng = random.Random(seed)
+        for ctx in CONTEXTS:
+            # weights 0-4: ratio choices with a zero-weight branch occur
+            t = gen_term(rng, ctx, size, weight_max=4)
+            pushed = push_nu_to_leaves(t)
+            n = max(2, max_level(pushed)) + extra_n
+            k = max(choice_counts(pushed).values(), default=0) + extra_k
+            raised = raise_level(pushed, n)
             diagram = stratify(ctx, raised, k)
             assert functional_eq_sampled(ctx, raised, diagram.to_term(), rng)
-            nf = normalize(ctx, t)
+            nf = normalize(ctx, t, k, n)
+            assert validate_normal_form(nf) == []
             for index, leaf in diagram.leaves.items():
                 chains, weights = collect_chains(ctx, leaf)
                 mass = {c: Fraction(w, sum(weights)) for c, w in zip(chains, weights)}
                 assert mass == nf.leaf_fractions(index)
+
+    def test_nested_binders_raised_two_levels(self):
+        # nu[1,2] and nu[3,1] raised from level 4 to 6 mix their
+        # refinements by (6, 12, 18, 24) and (12, 6, 2); the paths into the
+        # depth-3 diagram consume 0 to 3 choices, and the dead branch would
+        # need depth 4 and level 10
+        ctx = parse_context("params: p ; vars: x:2, y:0")
+        t = parse_term("rch[1,1](nu[1,2]a.nu[3,1]b.x(b,a),"
+                       " rch[2,0](pch[p](y, pch[p](y, pch[p](x(p,p), y))),"
+                       " nu[1,9]c.pch[p](pch[p](pch[p](pch[p](y, x(c,c)), y), y), y)))", ctx)
+        nf = normalize(ctx, t, n=6)
+        assert (nf.k, nf.n) == (3, 6)
+        assert [c.describe(ctx) for c in nf.chains[:2]] == [
+            "x(p,p)", "nu[3,3]b1.nu[1,5]b2.x(b1,b2)"]
+        assert nf.chains[-1].var == "y"
+        mixed = (4, 3, 2, 1, 12, 9, 6, 3, 24, 18, 12, 6)
+        assert nf.weights[(0,)] == (0,) + mixed + (100,)
+        assert nf.weights[(1,)] == (0,) + mixed + (100,)
+        assert nf.weights[(2,)] == (100,) + tuple(3 * w for w in mixed) + (200,)
+        assert nf.weights[(3,)] == (0,) + mixed + (100,)
+        # the walk itself skips zero weights, so no dead column appears
+        dead = RatioChoice(0, 1, VarApp("x", ("p", "p")), VarApp("y"))
+        (walked,) = _LeafWalk(ctx, 0, 2).forms([dead])
+        assert [c.var for c in walked.chains] == ["y"]
 
 
 class TestCollectChains:

@@ -88,6 +88,15 @@ class TestRunners:
         assert run_polya(t, AlwaysRight()) == "z"
         assert run_betabern(t, AlwaysRight()) == "z"
 
+    @pytest.mark.parametrize("impl", ["polya", "betabern"])
+    def test_estimate_on_deep_chain(self, impl):
+        # the ground check walks the term without recursion, as the samplers do
+        t = VarApp("z")
+        for _ in range(5000):
+            t = RatioChoice(1, 1, VarApp("y"), t)
+        counts = estimate(YZ, t, trials=10, seed=1, impl=impl)
+        assert sum(counts.values()) == 10 and set(counts) <= {"y", "z"}
+
     def test_impl_validated(self):
         with pytest.raises(TermError, match="unknown implementation"):
             estimate(YZ, parse_term("y", YZ), trials=1, seed=0, impl="exact")
