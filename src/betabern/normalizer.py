@@ -253,14 +253,33 @@ def push_nu_to_leaves(t: Term) -> Term:
 # Stage 2 as a term rewrite: raise all binders to a common level n.
 
 
-def max_level(t: Term) -> int:
-    if isinstance(t, VarApp):
-        return 0
-    if isinstance(t, (RatioChoice, ParamChoice)):
-        return max(max_level(t.left), max_level(t.right))
-    if isinstance(t, Nu):
-        return max(t.i + t.j, max_level(t.body))
-    raise TermError(f"not a term: {t!r}")
+_UNDO = object()  # level_and_depth's stack marker: leave a parameter's choice
+
+
+def level_and_depth(t: Term) -> tuple[int, int]:
+    """The largest binder level ``i + j`` in ``t`` and the most choices on
+    one parameter along a path: the least ``n`` (before the floor of 2) and
+    ``k`` of a pushed term's normal form.  A parameter's count rises on
+    entering a choice on it, and a stack marker lowers it again."""
+    n = k = 0
+    counts: dict[str, int] = {}
+    stack: list = [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, RatioChoice):
+            stack += (node.left, node.right)
+        elif isinstance(node, ParamChoice):
+            c = counts[node.param] = counts.get(node.param, 0) + 1
+            k = max(k, c)
+            stack += (node.param, _UNDO, node.left, node.right)
+        elif isinstance(node, Nu):
+            n = max(n, node.i + node.j)
+            stack.append(node.body)
+        elif node is _UNDO:
+            counts[stack.pop()] -= 1
+        elif not isinstance(node, VarApp):
+            raise TermError(f"not a term: {node!r}")
+    return n, k
 
 
 def _rising(x: int, a: int) -> int:
@@ -298,7 +317,7 @@ def multichoice(pairs) -> Term:
 
 def raise_level(t: Term, n: int) -> Term:
     """Expand every binder of a nu-pushed term so hyperparameters sum to n."""
-    lvl = max_level(t)
+    lvl = level_and_depth(t)[0]
     if n < 2 or n < lvl:
         raise TermError(f"target level {n} below minimum {max(2, lvl)}")
     return _raise(t, n)
@@ -328,22 +347,6 @@ def _nu_expand(i: int, j: int, p: str, body: Term, n: int) -> Term:
 
 # ---------------------------------------------------------------------------
 # Stages 2-4: the chain distribution at every leaf of the depth-k diagrams.
-
-
-def choice_counts(t: Term) -> dict[str, int]:
-    """Per parameter, the maximum number of its choices on any path."""
-    if isinstance(t, (VarApp, Nu)):
-        return {}
-    if isinstance(t, (RatioChoice, ParamChoice)):
-        left = choice_counts(t.left)
-        right = choice_counts(t.right)
-        out = dict(left)
-        for p, c in right.items():
-            out[p] = max(out.get(p, 0), c)
-        if isinstance(t, ParamChoice):
-            out[t.param] = out.get(t.param, 0) + 1
-        return out
-    raise TermError(f"not a term: {t!r}")
 
 
 class _LeafWalk:
@@ -478,12 +481,13 @@ def _stage12(ctx: Context, terms: tuple[Term, ...], k: int | None = None,
         if bad:
             raise TermError(f"term ill-formed: {bad[0]}")
         pushed.append(push_nu_to_leaves(t))
-    n_min = max(2, *map(max_level, pushed))
+    levels, depths = zip(*map(level_and_depth, pushed))
+    n_min = max(2, *levels)
     if n is None:
         n = n_min
     elif n < n_min:
         raise TermError(f"level n={n} below minimum {n_min}")
-    k_min = max((c for p in pushed for c in choice_counts(p).values()), default=0)
+    k_min = max(depths)
     if k is None:
         k = k_min
     elif k < k_min:

@@ -23,7 +23,7 @@ from functools import lru_cache
 from fractions import Fraction
 from math import comb, lcm
 
-from .normalizer import Chain, NormalForm, TreeDiagram, max_level, multichoice
+from .normalizer import Chain, NormalForm, TreeDiagram, level_and_depth, multichoice
 from .poly import Poly, PolyError, monomial
 from .terms import (
     Context,
@@ -414,7 +414,7 @@ def term_from_bernstein(ctx: Context, k: int, coeffs) -> Term:
 
 
 def oracle_degree(t: Term, u: Term) -> int:
-    return max(2, max_level(t), max_level(u))
+    return max(2, level_and_depth(t)[0], level_and_depth(u)[0])
 
 
 def functional_eq(ctx: Context, t: Term, u: Term, degree: int | None = None) -> bool:

@@ -192,7 +192,7 @@ def parse_path(text: str) -> Path:
 # Free parameters, well-formedness.
 
 
-_LEAVE = object()  # stack marker: the binder name below it goes out of scope
+_LEAVE = object()  # stack marker: a binder's name goes out of scope
 
 
 def free_params(t: Term) -> frozenset[str]:
@@ -248,48 +248,62 @@ class Violation:
         return f"at {format_path(self.path)}: {self.message}"
 
 
+def _spell(link) -> Path:
+    """The path of a ``(parent link, selector)`` chain; the root is ``()``."""
+    sels = []
+    while link:
+        link, sel = link
+        sels.append(sel)
+    return tuple(reversed(sels))
+
+
 def check_wellformed(ctx: Context, t: Term) -> list[Violation]:
-    """Collect every scoping/arity/side-condition violation in ``t``.
+    """Collect every scoping/arity/side-condition violation in ``t``, in
+    pre-order, left branch first.
 
-    An empty list means the term is well-formed in ``ctx``.
+    An empty list means the term is well-formed in ``ctx``.  One walk with
+    an explicit stack; a node's path is kept as a link to its parent's until
+    a violation spells it out.
     """
-    out: list[Violation] = []
-
-    def go(t: Term, scope: frozenset[str], path: Path) -> None:
+    out: list[tuple] = []
+    arity = dict(ctx.vars)
+    scope = set(ctx.params)
+    stack: list = [(t, ())]
+    while stack:
+        t, link = stack.pop()
         if isinstance(t, VarApp):
-            arity = ctx.arity(t.var)
-            if arity is None:
-                out.append(Violation(path, f"unknown variable {t.var!r}"))
-            elif arity != len(t.args):
-                out.append(Violation(
-                    path, f"variable {t.var!r} expects {arity} parameters, got {len(t.args)}"))
+            m = arity.get(t.var)
+            if m is None:
+                out.append((link, f"unknown variable {t.var!r}"))
+            elif m != len(t.args):
+                out.append((link, f"variable {t.var!r} expects {m} parameters, got {len(t.args)}"))
             for a in t.args:
                 if a not in scope:
-                    out.append(Violation(path, f"parameter {a!r} not in scope"))
+                    out.append((link, f"parameter {a!r} not in scope"))
         elif isinstance(t, RatioChoice):
             if t.i < 0 or t.j < 0:
-                out.append(Violation(path, "ratio weights must be nonnegative"))
+                out.append((link, "ratio weights must be nonnegative"))
             if t.i + t.j <= 0:
-                out.append(Violation(path, "ratio choice needs total weight i+j > 0"))
-            go(t.left, scope, path + ("l",))
-            go(t.right, scope, path + ("r",))
+                out.append((link, "ratio choice needs total weight i+j > 0"))
+            stack += ((t.right, (link, "r")), (t.left, (link, "l")))
         elif isinstance(t, ParamChoice):
             if t.param not in scope:
-                out.append(Violation(path, f"parameter {t.param!r} not in scope"))
-            go(t.left, scope, path + ("l",))
-            go(t.right, scope, path + ("r",))
+                out.append((link, f"parameter {t.param!r} not in scope"))
+            stack += ((t.right, (link, "r")), (t.left, (link, "l")))
         elif isinstance(t, Nu):
             if t.i < 1 or t.j < 1:
-                out.append(Violation(
-                    path, f"nu hyperparameters must be positive, got ({t.i},{t.j})"))
-            if t.param in scope or t.param in ctx.all_names():
-                out.append(Violation(path, f"binder {t.param!r} rebinds a name in scope"))
-            go(t.body, scope | {t.param}, path + ("b",))
+                out.append((link, f"nu hyperparameters must be positive, got ({t.i},{t.j})"))
+            if t.param in scope or t.param in arity:
+                out.append((link, f"binder {t.param!r} rebinds a name in scope"))
+            if t.param not in scope:  # in scope for the body only
+                scope.add(t.param)
+                stack.append((_LEAVE, t.param))
+            stack.append((t.body, (link, "b")))
+        elif t is _LEAVE:
+            scope.remove(link)
         else:
-            out.append(Violation(path, f"not a term: {t!r}"))
-
-    go(t, frozenset(ctx.params), ())
-    return out
+            out.append((link, f"not a term: {t!r}"))
+    return [Violation(_spell(link), message) for link, message in out]
 
 
 # ---------------------------------------------------------------------------
@@ -408,203 +422,224 @@ def substitute(t: Term, bindings: dict[str, tuple[tuple[str, ...], Term]]) -> Te
 #   NAT    := [0-9]+
 #
 # Whitespace (``str.isspace``, which is what ``\s`` matches) separates
-# tokens; any other character outside these tokens is an error.
+# tokens; any other character outside these tokens is an error.  Tokens are
+# plain strings; their offsets in the text are found only to report an error.
 
-_TOKEN_RE = re.compile(rf"{_IDENT}|[0-9]+|[][(),.;:-]|(\S)")
+_VALID = rf"{_IDENT}|[0-9]+|[][(),.;:-]"
+_TOKEN_RE = re.compile(rf"{_VALID}|\S")
+_VALID_RE = re.compile(rf"(?:{_VALID})\Z")
 
 
 class _Cursor:
-    """The tokens of one text and a position in them.
+    """The tokens of one text, and errors located at one of them.
 
-    A token is ``(text, offset)``; its kind is read from its first
-    character, and the end of input is ``("", len(src))``.  The whole text
-    is scanned up front, so a bad character is reported before any syntax
-    error that comes earlier in the text.
+    A token is a string from one ``findall``, its kind read from its first
+    character; ``""`` ends the list.  :meth:`fail` scans the text again for
+    the failing token's offset.  The distinct tokens are checked up front,
+    so a bad character is reported before any earlier syntax error.
     """
 
     def __init__(self, src: str):
         self.src = src
-        self.toks = []
-        for m in _TOKEN_RE.finditer(src):
-            tok = (m.group(), m.start())
-            if m.lastindex:
-                self.fail(f"unexpected character {tok[0]!r}", tok)
-            self.toks.append(tok)
-        self.toks.append(("", len(src)))
-        self.pos = 0
+        self.toks = _TOKEN_RE.findall(src)
+        bad = {tok for tok in set(self.toks) if not _VALID_RE.match(tok)}
+        if bad:
+            k = next(k for k, tok in enumerate(self.toks) if tok in bad)
+            self.fail(f"unexpected character {self.toks[k]!r}", k)
+        self.toks.append("")
 
-    def peek(self) -> tuple[str, int]:
-        return self.toks[self.pos]
-
-    def next(self) -> tuple[str, int]:
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message: str, tok: tuple[str, int] | None = None):
-        """Raise a :class:`ParseError` at ``tok`` (default: the next token)."""
-        offset = (tok or self.peek())[1]
+    def fail(self, message: str, k: int):
+        """Raise a :class:`ParseError` at token ``k``."""
+        starts = [m.start() for m in _TOKEN_RE.finditer(self.src)]
+        offset = starts[k] if k < len(starts) else len(self.src)
         line = self.src.count("\n", 0, offset) + 1
         raise ParseError(message, line, offset - self.src.rfind("\n", 0, offset))
 
-    def expect(self, text: str) -> None:
-        tok = self.next()
-        if tok[0] != text:
-            self.fail(f"expected {text!r}, found {tok[0] or 'end of input'!r}", tok)
-
-    def expect_nat(self) -> int:
-        tok = self.next()
-        if not tok[0][:1].isdigit():
-            self.fail(f"expected a number, found {tok[0] or 'end of input'!r}", tok)
-        return int(tok[0])
-
-    def expect_ident(self) -> tuple[str, int]:
-        tok = self.next()
-        if not tok[0][:1].isalpha():
-            self.fail(f"expected an identifier, found {tok[0] or 'end of input'!r}", tok)
-        return tok
-
-
-def _term(cur: _Cursor, ctx: Context, scope: frozenset[str]) -> Term:
-    tok = cur.peek()
-    name = tok[0]
-    if not name[:1].isalpha():
-        cur.fail(f"expected a term, found {name or 'end of input'!r}")
-    cur.next()
-    if name == "rch":
-        cur.expect("[")
-        i = cur.expect_nat()
-        cur.expect(",")
-        j = cur.expect_nat()
-        if i + j == 0:
-            cur.fail("ratio choice needs total weight i+j > 0", tok)
-        cur.expect("]")
-        cur.expect("(")
-        left = _term(cur, ctx, scope)
-        cur.expect(",")
-        right = _term(cur, ctx, scope)
-        cur.expect(")")
-        return RatioChoice(i, j, left, right)
-    if name == "pch":
-        cur.expect("[")
-        p = cur.expect_ident()
-        if p[0] not in scope:
-            cur.fail(f"parameter {p[0]!r} not in scope", p)
-        cur.expect("]")
-        cur.expect("(")
-        left = _term(cur, ctx, scope)
-        cur.expect(",")
-        right = _term(cur, ctx, scope)
-        cur.expect(")")
-        return ParamChoice(p[0], left, right)
-    if name == "nu":
-        cur.expect("[")
-        i = cur.expect_nat()
-        cur.expect(",")
-        j = cur.expect_nat()
-        if i < 1 or j < 1:
-            cur.fail(f"nu binder needs positive hyperparameters, got ({i},{j})", tok)
-        cur.expect("]")
-        p = cur.expect_ident()
-        if p[0] in RESERVED_WORDS:
-            cur.fail(f"{p[0]!r} is a reserved word", p)
-        if p[0] in scope or p[0] in ctx.all_names():
-            cur.fail(f"binder {p[0]!r} rebinds a name in scope", p)
-        cur.expect(".")
-        body = _term(cur, ctx, scope | {p[0]})
-        return Nu(i, j, p[0], body)
-    # variable application
-    if name in RESERVED_WORDS:
-        cur.fail(f"{name!r} is a reserved word", tok)
-    arity = ctx.arity(name)
-    if arity is None:
-        if name in scope:
-            cur.fail(f"parameter {name!r} used as a term", tok)
-        cur.fail(f"unknown variable {name!r}", tok)
-    args: list[str] = []
-    if cur.peek()[0] == "(":
-        cur.next()
-        if cur.peek()[0] != ")":
-            while True:
-                a = cur.expect_ident()
-                if a[0] not in scope:
-                    cur.fail(f"parameter {a[0]!r} not in scope", a)
-                args.append(a[0])
-                if cur.peek()[0] != ",":
-                    break
-                cur.next()
-        cur.expect(")")
-    if len(args) != arity:
-        cur.fail(f"variable {name!r} expects {arity} parameters, got {len(args)}", tok)
-    return VarApp(name, tuple(args))
+    def expected(self, what: str, k: int):
+        self.fail(f"expected {what}, found {self.toks[k] or 'end of input'!r}", k)
 
 
 def parse_term(src: str, ctx: Context) -> Term:
-    """Parse a term against a context; raise :class:`ParseError` on defects."""
+    """Parse a term against a context; raise :class:`ParseError` on defects.
+
+    One loop over the tokens with an explicit stack of frames: ``(Nu, i, j,
+    p)`` awaits a body, ``(constructor, fields)`` a left branch and
+    ``(constructor, fields, left)`` a right one.  A binder's name is in the
+    scope set until its body closes; rebinding a name in scope is an error.
+    """
     cur = _Cursor(src)
-    t = _term(cur, ctx, frozenset(ctx.params))
-    if cur.peek()[0]:
-        cur.fail(f"trailing input {cur.peek()[0]!r}")
-    return t
+    toks, fail, expected = cur.toks, cur.fail, cur.expected
+    arity = dict(ctx.vars)
+    scope = set(ctx.params)
+    stack: list = []
+    pos = 0
+    while True:
+        tok = toks[pos]
+        m = arity.get(tok)
+        if m is not None:  # variable application
+            k = pos + 1
+            args = []
+            if toks[k] == "(":
+                k += 1
+                while toks[k] != ")" or args:  # after a ',' an argument must follow
+                    a = toks[k]
+                    if a not in scope:
+                        if not a[:1].isalpha():
+                            expected("an identifier", k)
+                        fail(f"parameter {a!r} not in scope", k)
+                    args.append(a)
+                    k += 1
+                    if toks[k] != ",":
+                        break
+                    k += 1
+                if toks[k] != ")":
+                    expected("')'", k)
+                k += 1
+            if len(args) != m:
+                fail(f"variable {tok!r} expects {m} parameters, got {len(args)}", pos)
+            t = VarApp(tok, tuple(args))
+            pos = k
+        elif tok == "rch" or tok == "pch" or tok == "nu":
+            if toks[pos + 1] != "[":
+                expected("'['", pos + 1)
+            if tok == "pch":
+                p = toks[pos + 2]
+                if p not in scope:
+                    if not p[:1].isalpha():
+                        expected("an identifier", pos + 2)
+                    fail(f"parameter {p!r} not in scope", pos + 2)
+                fields = (p,)
+                k = pos + 3
+            else:
+                if not toks[pos + 2].isdigit():
+                    expected("a number", pos + 2)
+                if toks[pos + 3] != ",":
+                    expected("','", pos + 3)
+                if not toks[pos + 4].isdigit():
+                    expected("a number", pos + 4)
+                i, j = int(toks[pos + 2]), int(toks[pos + 4])
+                if tok == "rch" and i + j == 0:
+                    fail("ratio choice needs total weight i+j > 0", pos)
+                if tok == "nu" and (i < 1 or j < 1):
+                    fail(f"nu binder needs positive hyperparameters, got ({i},{j})", pos)
+                fields = (i, j)
+                k = pos + 5
+            if toks[k] != "]":
+                expected("']'", k)
+            if tok == "nu":
+                p = toks[k + 1]
+                if not p[:1].isalpha():
+                    expected("an identifier", k + 1)
+                if p in RESERVED_WORDS:
+                    fail(f"{p!r} is a reserved word", k + 1)
+                if p in scope or p in arity:
+                    fail(f"binder {p!r} rebinds a name in scope", k + 1)
+                if toks[k + 2] != ".":
+                    expected("'.'", k + 2)
+                scope.add(p)
+                stack.append((Nu, i, j, p))
+                pos = k + 3
+            else:
+                if toks[k + 1] != "(":
+                    expected("'('", k + 1)
+                stack.append((RatioChoice if tok == "rch" else ParamChoice, fields))
+                pos = k + 2
+            continue
+        else:
+            if not tok[:1].isalpha():
+                expected("a term", pos)
+            if tok in RESERVED_WORDS:
+                fail(f"{tok!r} is a reserved word", pos)
+            if tok in scope:
+                fail(f"parameter {tok!r} used as a term", pos)
+            fail(f"unknown variable {tok!r}", pos)
+        # ``t`` is complete: close the frames it completes
+        while stack:
+            frame = stack.pop()
+            if frame[0] is Nu:
+                scope.remove(frame[3])
+                t = Nu(frame[1], frame[2], frame[3], t)
+            elif len(frame) == 2:
+                if toks[pos] != ",":
+                    expected("','", pos)
+                stack.append((*frame, t))
+                pos += 1
+                break
+            else:
+                if toks[pos] != ")":
+                    expected("')'", pos)
+                t = frame[0](*frame[1], frame[2], t)
+                pos += 1
+        else:
+            if toks[pos]:
+                fail(f"trailing input {toks[pos]!r}", pos)
+            return t
 
 
 def parse_context(src: str) -> Context:
     """Parse a context declaration like ``params: p, q ; vars: x:2, y:0``."""
     cur = _Cursor(src)
-
-    def name_list(section):
-        # '-' or empty means no entries
-        out = []
-        if cur.peek()[0] == "-":
-            cur.next()
-            return out
-        while cur.peek()[0][:1].isalpha():
-            tok = cur.next()
-            if tok[0] in RESERVED_WORDS:
-                cur.fail(f"{tok[0]!r} is a reserved word", tok)
-            if section == "vars":
+    toks = cur.toks
+    zones: list[list] = []
+    k = 0
+    for want in ("params", ":", None, ";", "vars", ":", None):  # None: a name list
+        if want is not None:
+            if toks[k] != want:
+                cur.expected(repr(want), k)
+            k += 1
+            continue
+        zones.append([])
+        if toks[k] == "-":  # '-' or nothing means no entries
+            k += 1
+            continue
+        while toks[k][:1].isalpha():
+            name = toks[k]
+            if name in RESERVED_WORDS:
+                cur.fail(f"{name!r} is a reserved word", k)
+            k += 1
+            if len(zones) == 2:  # a variable, with its arity
                 arity = 0
-                if cur.peek()[0] == ":":
-                    cur.next()
-                    if not cur.peek()[0][:1].isdigit():
-                        cur.fail("expected an arity")
-                    arity = cur.expect_nat()
-                out.append((tok[0], arity))
-            else:
-                out.append(tok[0])
-            if cur.peek()[0] != ",":
+                if toks[k] == ":":
+                    if not toks[k + 1].isdigit():
+                        cur.fail("expected an arity", k + 1)
+                    arity = int(toks[k + 1])
+                    k += 2
+                name = (name, arity)
+            zones[-1].append(name)
+            if toks[k] != ",":
                 break
-            cur.next()
-        return out
-
-    cur.expect("params")
-    cur.expect(":")
-    params = name_list("params")
-    cur.expect(";")
-    cur.expect("vars")
-    cur.expect(":")
-    vars_ = name_list("vars")
-    if cur.peek()[0]:
-        cur.fail(f"trailing input {cur.peek()[0]!r}")
+            k += 1
+    if toks[k]:
+        cur.fail(f"trailing input {toks[k]!r}", k)
     try:
-        return Context(tuple(params), tuple(vars_))
+        return Context(tuple(zones[0]), tuple(zones[1]))
     except TermError as e:
         raise ParseError(str(e), 1, 1) from None
 
 
+_SEP, _CLOSE = object(), object()  # format_term's stack markers for ", " and ")"
+
+
 def format_term(t: Term) -> str:
-    """Canonical text form; ``parse_term`` inverts it up to alpha-renaming."""
-    if isinstance(t, VarApp):
-        if not t.args:
-            return t.var
-        return f"{t.var}({','.join(t.args)})"
-    if isinstance(t, RatioChoice):
-        return f"rch[{t.i},{t.j}]({format_term(t.left)}, {format_term(t.right)})"
-    if isinstance(t, ParamChoice):
-        return f"pch[{t.param}]({format_term(t.left)}, {format_term(t.right)})"
-    if isinstance(t, Nu):
-        return f"nu[{t.i},{t.j}]{t.param}.{format_term(t.body)}"
-    raise TermError(f"not a term: {t!r}")
+    """Canonical text form; ``parse_term`` inverts it up to alpha-renaming.
+    One walk with an explicit stack, so no recursion limit applies."""
+    out = []
+    stack: list = [t]
+    while stack:
+        t = stack.pop()
+        if t is _SEP or t is _CLOSE:
+            out.append(", " if t is _SEP else ")")
+        elif isinstance(t, VarApp):
+            out.append(f"{t.var}({','.join(t.args)})" if t.args else t.var)
+        elif isinstance(t, (RatioChoice, ParamChoice)):
+            out.append(f"rch[{t.i},{t.j}](" if isinstance(t, RatioChoice) else f"pch[{t.param}](")
+            stack += (_CLOSE, t.right, _SEP, t.left)
+        elif isinstance(t, Nu):
+            out.append(f"nu[{t.i},{t.j}]{t.param}.")
+            stack.append(t.body)
+        else:
+            raise TermError(f"not a term: {t!r}")
+    return "".join(out)
 
 
 def format_context(ctx: Context) -> str:

@@ -24,7 +24,7 @@ from betabern.normalizer import (
     Chain,
     TreeDiagram,
     chain_from_term,
-    choice_counts,
+    level_and_depth,
     multichoice,
 )
 from betabern.terms import (
@@ -103,9 +103,9 @@ def stratify(ctx: Context, t: Term, k: int) -> TreeDiagram:
     ``C(k, s)`` resolutions whose bit vector has ``s`` right branches; the
     k! path permutations never get enumerated.
     """
-    counts = choice_counts(t)
-    if counts and k < max(counts.values()):
-        raise TermError(f"depth k={k} below required {max(counts.values())}")
+    depth = level_and_depth(t)[1]
+    if k < depth:
+        raise TermError(f"depth k={k} below required {depth}")
 
     def go(params: tuple[str, ...], term: Term) -> dict[tuple[int, ...], Term]:
         if not params:

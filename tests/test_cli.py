@@ -273,6 +273,11 @@ class TestDeepInput:
         assert proc.stderr == "error: term nested too deeply\n"
         assert "Traceback" not in proc.stderr
 
+    def test_check_accepts_deep_chain(self):
+        proc = self.cli("check", 3000)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"ok: {'rch[1,2](z, ' * 3000}y{')' * 3000}\n"
+
     @pytest.mark.parametrize("command", ["normalize", "decide"])
     def test_depth_900_still_decided(self, command):
         proc = self.cli(command, 900)

@@ -26,9 +26,8 @@ from betabern import (
 from betabern.normalizer import (
     _LeafWalk,
     chain_from_term,
-    choice_counts,
     format_normal_form,
-    max_level,
+    level_and_depth,
     multichoice,
     validate_normal_form,
 )
@@ -169,7 +168,7 @@ class TestRaiseLevel:
         ctx = parse_context("params: p ; vars: x:2, y:0")
         for _ in range(30):
             t = push_nu_to_leaves(gen_term(rng, ctx, 16, weight_max=3))
-            n = max(2, max_level(t)) + rng.randint(0, 2)
+            n = max(2, level_and_depth(t)[0]) + rng.randint(0, 2)
             out = raise_level(t, n)
             assert levels_ok(out, n)
             assert functional_eq_sampled(ctx, t, out, rng)
@@ -178,7 +177,7 @@ class TestRaiseLevel:
         ctx = parse_context("params: - ; vars: x:1")
         t = parse_term("nu[1,1]p.x(p)", ctx)
         out = raise_level(t, 3)
-        assert max_level(out) == 3
+        assert level_and_depth(out)[0] == 3
         assert functional_eq(ctx, t, out, degree=4)
 
     def test_flat_expansion_matches_stepwise_rewrites(self):
@@ -252,8 +251,9 @@ class TestStratify:
             # weights 0-4: ratio choices with a zero-weight branch occur
             t = gen_term(rng, ctx, size, weight_max=4)
             pushed = push_nu_to_leaves(t)
-            n = max(2, max_level(pushed)) + extra_n
-            k = max(choice_counts(pushed).values(), default=0) + extra_k
+            level, depth = level_and_depth(pushed)
+            n = max(2, level) + extra_n
+            k = depth + extra_k
             raised = raise_level(pushed, n)
             diagram = stratify(ctx, raised, k)
             assert functional_eq_sampled(ctx, raised, diagram.to_term(), rng)
@@ -387,6 +387,15 @@ class TestNormalize:
             normalize(ctx, t, n=3)
         with pytest.raises(TermError, match="depth"):
             normalize(ctx, t, k=0)
+
+    def test_canonical_depth_and_level(self):
+        # k counts the choices on one parameter along one path
+        ctx = parse_context("params: p, q ; vars: x:1, y:0")
+        for text, k, n in [("pch[q](pch[p](y, y), pch[p](y, y))", 1, 2),
+                           ("pch[p](pch[q](y, y), pch[p](y, y))", 2, 2),
+                           ("rch[1,1](nu[2,3]a.x(a), pch[p](nu[1,1]b.x(b), y))", 1, 5)]:
+            nf = normalize(ctx, parse_term(text, ctx))
+            assert (nf.k, nf.n) == (k, n)
 
     def test_ill_formed_rejected(self):
         with pytest.raises(TermError, match="ill-formed"):

@@ -26,6 +26,7 @@ from betabern import (
 from termgen import gen_term
 
 CTX = parse_context("params: p ; vars: x:0, y:0")
+YZ = parse_context("params: - ; vars: y:0, z:0")
 
 
 def parse_in_ctx(text):
@@ -122,11 +123,35 @@ class TestParse:
         (parse_context, "params: - ; vars: y:\u00b2", "unexpected character '\u00b2'", 1, 21),
         (parse_in_ctx, "rch[\u0661,1](y,z)", "unexpected character '\u0661'", 1, 5),
         (parse_in_ctx, "nu[1,1]\u00e9.y", "unexpected character '\u00e9'", 1, 8),
+        # four frames deep, on line 3
+        (parse_in_ctx, "rch[1,1](x,\n rch[2,1](y,\n  pch[p](rch[1,3](y, w), x))))",
+         "unknown variable 'w'", 3, 22),
+        (parse_in_ctx, "rch[1,1](rch[1,2](x, y) y)", "expected ',', found 'y'", 1, 25),
+        (parse_in_ctx, "nu[1,1]q.\n", "expected a term, found 'end of input'", 2, 1),
+        (parse_in_ctx, "rch[1,1](x, rch[1,1](y, rch[1,1](x, ))) ?",
+         "unexpected character '?'", 1, 41),
+        # a binder's name leaves the scope when its body closes
+        (lambda text: parse_term(text, parse_context("params: - ; vars: y:0, z:0")),
+         "rch[1,1](nu[1,1]p.y, pch[p](y, z))", "parameter 'p' not in scope", 1, 26),
     ])
     def test_error_message_and_position(self, parse, text, message, line, col):
         with pytest.raises(ParseError) as e:
             parse(text)
         assert (e.value.message, e.value.line, e.value.col) == (message, line, col)
+
+    def test_deep_chain(self):
+        depth = 100_000
+        text = "rch[1,2](z, " * depth + "y" + ")" * depth
+        t = parse_term(text, YZ)
+        assert check_wellformed(YZ, t) == []
+        assert format_term(t) == text
+
+    def test_long_binder_spine(self):
+        ctx = parse_context("params: - ; vars: x:1")
+        text = "".join(f"nu[1,1]p{n}." for n in range(1, 2001)) + "x(p1)"
+        t = parse_term(text, ctx)
+        assert check_wellformed(ctx, t) == []
+        assert format_term(t) == text
 
     def test_whitespace_insensitive(self):
         ctx = parse_context("params: - ; vars: x:1")
@@ -186,6 +211,28 @@ class TestWellformed:
         messages = " / ".join(v.message for v in check_wellformed(ctx, t))
         assert "unknown variable 'w'" in messages
         assert "'q' not in scope" in messages
+
+    def test_shadowing_binders_keep_the_outer_scope(self):
+        ctx = parse_context("params: p ; vars: x:1, y:0")
+        t = RatioChoice(
+            1, 1,
+            Nu(1, 1, "q", ParamChoice("r", Nu(0, 2, "q", VarApp("w")), VarApp("x", ("q",)))),
+            ParamChoice("p", Nu(1, 1, "p", VarApp("x", ("p", "p"))),
+                        RatioChoice(0, 0, VarApp("x", ("p",)), VarApp("x", ("q",)))))
+        assert [(v.path, v.message) for v in check_wellformed(ctx, t)] == [
+            (("l", "b"), "parameter 'r' not in scope"),
+            (("l", "b", "l"), "nu hyperparameters must be positive, got (0,2)"),
+            (("l", "b", "l"), "binder 'q' rebinds a name in scope"),
+            (("l", "b", "l", "b"), "unknown variable 'w'"),
+            (("r", "l"), "binder 'p' rebinds a name in scope"),
+            (("r", "l", "b"), "variable 'x' expects 1 parameters, got 2"),
+            (("r", "r"), "ratio choice needs total weight i+j > 0"),
+            (("r", "r", "r"), "parameter 'q' not in scope"),
+        ]
+        # a binder named like a variable still binds its name in its body
+        t = Nu(1, 1, "y", VarApp("x", ("y",)))
+        assert [(v.path, v.message) for v in check_wellformed(ctx, t)] == [
+            ((), "binder 'y' rebinds a name in scope")]
 
 
 class TestSubstitute:
