@@ -22,7 +22,8 @@ at exactly the axiom schemes above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, replace
 
 from .terms import (
     Context,
@@ -101,6 +102,9 @@ def _need(cond: bool, message: str) -> None:
         raise AxiomError(message)
 
 
+_KIND = {RatioChoice: "ratio choice", ParamChoice: "bias choice", Nu: "nu binder"}
+
+
 def _merge_binders(left: Nu, right: Nu, block: frozenset[str]) -> tuple[str, Term, Term]:
     """Alpha-align two binders to a common name not clashing with ``block``."""
     p = left.param
@@ -114,10 +118,82 @@ def _merge_binders(left: Nu, right: Nu, block: frozenset[str]) -> tuple[str, Ter
     return p, lbody, rbody
 
 
-# --- rational convexity ----------------------------------------------------
+# --- one applier per law shape ---------------------------------------------
 
 
-def _convex_distr_lr(t: Term, inst: dict) -> Term:
+def _interchange(name: str, outer: type, inner: type):
+    """C1 and C5: an outer choice ``o`` between two equal inner choices ``i``
+    swaps with them, so ``(a i b) o (c i d)`` becomes ``(a o c) i (b o d)``."""
+
+    def apply(t: Term, inst: dict) -> Term:
+        _need(isinstance(t, outer), f"{name}: expected a {_KIND[outer]}")
+        a, b = t.left, t.right
+        _need(isinstance(a, inner) and isinstance(b, inner),
+              f"{name}: both branches must be {_KIND[inner]}s")
+        if inner is ParamChoice:
+            _need(a.param == b.param, f"{name}: inner parameters differ ({a.param} vs {b.param})")
+        else:
+            _need((a.i, a.j) == (b.i, b.j), f"{name}: ratio weights differ between branches")
+        return replace(a, left=replace(t, left=a.left, right=b.left),
+                       right=replace(t, left=a.right, right=b.right))
+
+    return apply
+
+
+def _hoist(name: str, choice: type):
+    """C3 and C4 ``lr``: a binder over a choice goes into both branches."""
+
+    def apply(t: Term, inst: dict) -> Term:
+        _need(isinstance(t, Nu), f"{name}: expected a nu binder")
+        body = t.body
+        _need(isinstance(body, choice), f"{name}: body must be a {_KIND[choice]}")
+        _need(choice is not ParamChoice or body.param != t.param,
+              f"{name}: choice parameter equals the bound parameter (use Conj)")
+        return replace(body, left=replace(t, body=body.left), right=replace(t, body=body.right))
+
+    return apply
+
+
+def _sink(name: str, choice: type):
+    """C3, C4 and Conj ``rl``: a choice between two binders becomes one binder over it."""
+
+    def apply(t: Term, inst: dict) -> Term:
+        _need(isinstance(t, choice), f"{name}: expected a {_KIND[choice]}")
+        a, b = t.left, t.right
+        _need(isinstance(a, Nu) and isinstance(b, Nu), f"{name}: both branches must be nu binders")
+        if name == "Conj":  # the conjugate update, undone
+            i, j = t.i, t.j
+            _need(i >= 1 and j >= 1, "Conj: ratio weights must be positive hyperparameters")
+            _need((a.i, a.j) == (i + 1, j),
+                  f"Conj: left binder must be nu[{i + 1},{j}], got nu[{a.i},{a.j}]")
+            _need((b.i, b.j) == (i, j + 1),
+                  f"Conj: right binder must be nu[{i},{j + 1}], got nu[{b.i},{b.j}]")
+        else:
+            i, j = a.i, a.j
+            _need((i, j) == (b.i, b.j), f"{name}: binder hyperparameters differ")
+        block = frozenset((t.param,)) if choice is ParamChoice else frozenset()
+        p, left, right = _merge_binders(a, b, block)
+        body = (ParamChoice(p, left, right) if name == "Conj"
+                else replace(t, left=left, right=right))
+        return Nu(i, j, p, body)
+
+    return apply
+
+
+def _idem(name: str, choice: type):
+    """ConvexIdem and D2 ``lr``: a choice between alpha-equal branches."""
+
+    def apply(t: Term, inst: dict) -> Term:
+        _need(isinstance(t, choice), f"{name}: expected a {_KIND[choice]}")
+        _need(alpha_eq(t.left, t.right), f"{name}: branches are not alpha-equal")
+        return t.left
+
+    return apply
+
+
+def _convex_distr(t: Term, inst: dict) -> Term:
+    """Its own inverse: regroups ``(a i,j b) i+j,k+l (c k,l d)`` into
+    ``(a i,k c) i+k,j+l (b j,l d)``."""
     _need(isinstance(t, RatioChoice), "ConvexDistr: expected a ratio choice")
     _need(isinstance(t.left, RatioChoice) and isinstance(t.right, RatioChoice),
           "ConvexDistr: both branches must be ratio choices")
@@ -125,26 +201,10 @@ def _convex_distr_lr(t: Term, inst: dict) -> Term:
     k, l = t.right.i, t.right.j
     _need((t.i, t.j) == (i + j, k + l),
           f"ConvexDistr: outer weights must be ({i + j},{k + l}), got ({t.i},{t.j})")
-    _need(i + k > 0 and j + l > 0,
-          "ConvexDistr: regrouped weights would have zero total")
+    _need(i + k > 0 and j + l > 0, "ConvexDistr: regrouped weights would have zero total")
     return RatioChoice(i + k, j + l,
                        RatioChoice(i, k, t.left.left, t.right.left),
                        RatioChoice(j, l, t.left.right, t.right.right))
-
-
-def _convex_distr_rl(t: Term, inst: dict) -> Term:
-    _need(isinstance(t, RatioChoice), "ConvexDistr: expected a ratio choice")
-    _need(isinstance(t.left, RatioChoice) and isinstance(t.right, RatioChoice),
-          "ConvexDistr: both branches must be ratio choices")
-    i, k = t.left.i, t.left.j
-    j, l = t.right.i, t.right.j
-    _need((t.i, t.j) == (i + k, j + l),
-          f"ConvexDistr: outer weights must be ({i + k},{j + l}), got ({t.i},{t.j})")
-    _need(i + j > 0 and k + l > 0,
-          "ConvexDistr: regrouped weights would have zero total")
-    return RatioChoice(i + j, k + l,
-                       RatioChoice(i, j, t.left.left, t.right.left),
-                       RatioChoice(k, l, t.left.right, t.right.right))
 
 
 def _convex_symm(t: Term, inst: dict) -> Term:
@@ -167,12 +227,6 @@ def _convex_zero_rl(t: Term, inst: dict) -> Term:
     return RatioChoice(i, 0, t, y)
 
 
-def _convex_idem_lr(t: Term, inst: dict) -> Term:
-    _need(isinstance(t, RatioChoice), "ConvexIdem: expected a ratio choice")
-    _need(alpha_eq(t.left, t.right), "ConvexIdem: branches are not alpha-equal")
-    return t.left
-
-
 def _convex_idem_rl(t: Term, inst: dict) -> Term:
     _need("i" in inst and "j" in inst, "ConvexIdem rl needs inst weights i, j")
     i, j = inst["i"], inst["j"]
@@ -180,95 +234,12 @@ def _convex_idem_rl(t: Term, inst: dict) -> Term:
     return RatioChoice(i, j, t, t)
 
 
-# --- commutativity ---------------------------------------------------------
-
-
-def _c1(t: Term, inst: dict) -> Term:
-    _need(isinstance(t, ParamChoice), "C1: expected a bias choice")
-    _need(isinstance(t.left, ParamChoice) and isinstance(t.right, ParamChoice),
-          "C1: both branches must be bias choices")
-    _need(t.left.param == t.right.param,
-          f"C1: inner parameters differ ({t.left.param} vs {t.right.param})")
-    p, q = t.param, t.left.param
-    return ParamChoice(q,
-                       ParamChoice(p, t.left.left, t.right.left),
-                       ParamChoice(p, t.left.right, t.right.right))
-
-
 def _c2(t: Term, inst: dict) -> Term:
     _need(isinstance(t, Nu), "C2: expected a nu binder")
-    _need(isinstance(t.body, Nu), "C2: body must be another nu binder")
     inner = t.body
+    _need(isinstance(inner, Nu), "C2: body must be another nu binder")
     _need(t.param != inner.param, "C2: nested binders share a name")
     return Nu(inner.i, inner.j, inner.param, Nu(t.i, t.j, t.param, inner.body))
-
-
-def _c3_lr(t: Term, inst: dict) -> Term:
-    _need(isinstance(t, Nu), "C3: expected a nu binder")
-    _need(isinstance(t.body, ParamChoice), "C3: body must be a bias choice")
-    _need(t.body.param != t.param,
-          "C3: choice parameter equals the bound parameter (use Conj)")
-    body = t.body
-    return ParamChoice(body.param,
-                       Nu(t.i, t.j, t.param, body.left),
-                       Nu(t.i, t.j, t.param, body.right))
-
-
-def _c3_rl(t: Term, inst: dict) -> Term:
-    _need(isinstance(t, ParamChoice), "C3: expected a bias choice")
-    _need(isinstance(t.left, Nu) and isinstance(t.right, Nu),
-          "C3: both branches must be nu binders")
-    _need((t.left.i, t.left.j) == (t.right.i, t.right.j),
-          "C3: binder hyperparameters differ")
-    p, lbody, rbody = _merge_binders(t.left, t.right, frozenset((t.param,)))
-    _need(p != t.param, "C3: choice parameter equals the bound parameter")
-    return Nu(t.left.i, t.left.j, p, ParamChoice(t.param, lbody, rbody))
-
-
-def _c4_lr(t: Term, inst: dict) -> Term:
-    _need(isinstance(t, Nu), "C4: expected a nu binder")
-    _need(isinstance(t.body, RatioChoice), "C4: body must be a ratio choice")
-    body = t.body
-    return RatioChoice(body.i, body.j,
-                       Nu(t.i, t.j, t.param, body.left),
-                       Nu(t.i, t.j, t.param, body.right))
-
-
-def _c4_rl(t: Term, inst: dict) -> Term:
-    _need(isinstance(t, RatioChoice), "C4: expected a ratio choice")
-    _need(isinstance(t.left, Nu) and isinstance(t.right, Nu),
-          "C4: both branches must be nu binders")
-    _need((t.left.i, t.left.j) == (t.right.i, t.right.j),
-          "C4: binder hyperparameters differ")
-    p, lbody, rbody = _merge_binders(t.left, t.right, frozenset())
-    return Nu(t.left.i, t.left.j, p, RatioChoice(t.i, t.j, lbody, rbody))
-
-
-def _c5_lr(t: Term, inst: dict) -> Term:
-    _need(isinstance(t, ParamChoice), "C5: expected a bias choice")
-    _need(isinstance(t.left, RatioChoice) and isinstance(t.right, RatioChoice),
-          "C5: both branches must be ratio choices")
-    _need((t.left.i, t.left.j) == (t.right.i, t.right.j),
-          "C5: ratio weights differ between branches")
-    i, j = t.left.i, t.left.j
-    return RatioChoice(i, j,
-                       ParamChoice(t.param, t.left.left, t.right.left),
-                       ParamChoice(t.param, t.left.right, t.right.right))
-
-
-def _c5_rl(t: Term, inst: dict) -> Term:
-    _need(isinstance(t, RatioChoice), "C5: expected a ratio choice")
-    _need(isinstance(t.left, ParamChoice) and isinstance(t.right, ParamChoice),
-          "C5: both branches must be bias choices")
-    _need(t.left.param == t.right.param,
-          f"C5: inner parameters differ ({t.left.param} vs {t.right.param})")
-    p = t.left.param
-    return ParamChoice(p,
-                       RatioChoice(t.i, t.j, t.left.left, t.right.left),
-                       RatioChoice(t.i, t.j, t.left.right, t.right.right))
-
-
-# --- discardability --------------------------------------------------------
 
 
 def _d1_lr(t: Term, inst: dict) -> Term:
@@ -287,70 +258,36 @@ def _d1_rl(t: Term, inst: dict) -> Term:
     return Nu(i, j, p, t)
 
 
-def _d2_lr(t: Term, inst: dict) -> Term:
-    _need(isinstance(t, ParamChoice), "D2: expected a bias choice")
-    _need(alpha_eq(t.left, t.right), "D2: branches are not alpha-equal")
-    return t.left
-
-
 def _d2_rl(t: Term, inst: dict) -> Term:
     _need("p" in inst, "D2 rl needs inst p (choice parameter)")
     return ParamChoice(inst["p"], t, t)
 
 
-# --- conjugacy -------------------------------------------------------------
-
-
 def _conj_lr(t: Term, inst: dict) -> Term:
     _need(isinstance(t, Nu), "Conj: expected a nu binder")
-    _need(isinstance(t.body, ParamChoice), "Conj: body must be a bias choice")
-    _need(t.body.param == t.param,
-          "Conj: choice parameter must be the bound parameter")
     body = t.body
-    return RatioChoice(t.i, t.j,
-                       Nu(t.i + 1, t.j, t.param, body.left),
+    _need(isinstance(body, ParamChoice), "Conj: body must be a bias choice")
+    _need(body.param == t.param, "Conj: choice parameter must be the bound parameter")
+    return RatioChoice(t.i, t.j, Nu(t.i + 1, t.j, t.param, body.left),
                        Nu(t.i, t.j + 1, t.param, body.right))
 
 
-def _conj_rl(t: Term, inst: dict) -> Term:
-    _need(isinstance(t, RatioChoice), "Conj: expected a ratio choice")
-    _need(isinstance(t.left, Nu) and isinstance(t.right, Nu),
-          "Conj: both branches must be nu binders")
-    i, j = t.i, t.j
-    _need(i >= 1 and j >= 1, "Conj: ratio weights must be positive hyperparameters")
-    _need((t.left.i, t.left.j) == (i + 1, j),
-          f"Conj: left binder must be nu[{i + 1},{j}], got nu[{t.left.i},{t.left.j}]")
-    _need((t.right.i, t.right.j) == (i, j + 1),
-          f"Conj: right binder must be nu[{i},{j + 1}], got nu[{t.right.i},{t.right.j}]")
-    p, lbody, rbody = _merge_binders(t.left, t.right, frozenset())
-    return Nu(i, j, p, ParamChoice(p, lbody, rbody))
+_C1 = _interchange("C1", ParamChoice, ParamChoice)
 
-
-_APPLIERS = {
-    ("ConvexDistr", "lr"): _convex_distr_lr,
-    ("ConvexDistr", "rl"): _convex_distr_rl,
-    ("ConvexSymm", "lr"): _convex_symm,
-    ("ConvexSymm", "rl"): _convex_symm,
-    ("ConvexZero", "lr"): _convex_zero_lr,
-    ("ConvexZero", "rl"): _convex_zero_rl,
-    ("ConvexIdem", "lr"): _convex_idem_lr,
-    ("ConvexIdem", "rl"): _convex_idem_rl,
-    ("C1", "lr"): _c1,
-    ("C1", "rl"): _c1,
-    ("C2", "lr"): _c2,
-    ("C2", "rl"): _c2,
-    ("C3", "lr"): _c3_lr,
-    ("C3", "rl"): _c3_rl,
-    ("C4", "lr"): _c4_lr,
-    ("C4", "rl"): _c4_rl,
-    ("C5", "lr"): _c5_lr,
-    ("C5", "rl"): _c5_rl,
-    ("D1", "lr"): _d1_lr,
-    ("D1", "rl"): _d1_rl,
-    ("D2", "lr"): _d2_lr,
-    ("D2", "rl"): _d2_rl,
-    ("Conj", "lr"): _conj_lr,
-    ("Conj", "rl"): _conj_rl,
+_APPLIERS = {  # scheme -> (lr, rl)
+    "ConvexDistr": (_convex_distr, _convex_distr),
+    "ConvexSymm": (_convex_symm, _convex_symm),
+    "ConvexZero": (_convex_zero_lr, _convex_zero_rl),
+    "ConvexIdem": (_idem("ConvexIdem", RatioChoice), _convex_idem_rl),
+    "C1": (_C1, _C1),
+    "C2": (_c2, _c2),
+    "C3": (_hoist("C3", ParamChoice), _sink("C3", ParamChoice)),
+    "C4": (_hoist("C4", RatioChoice), _sink("C4", RatioChoice)),
+    "C5": (_interchange("C5", ParamChoice, RatioChoice),
+           _interchange("C5", RatioChoice, ParamChoice)),
+    "D1": (_d1_lr, _d1_rl),
+    "D2": (_idem("D2", ParamChoice), _d2_rl),
+    "Conj": (_conj_lr, _sink("Conj", RatioChoice)),
 }
 
 
@@ -364,7 +301,7 @@ def apply_axiom(t: Term, step: RewriteStep) -> Term:
         target = subterm_at(t, step.path)
     except Exception as e:
         raise AxiomError(f"bad path {format_path(step.path)}: {e}") from None
-    new = _APPLIERS[(step.axiom, step.direction)](target, step.inst)
+    new = _APPLIERS[step.axiom][step.direction == "rl"](target, step.inst)
     return replace_at(t, step.path, new)
 
 
@@ -536,23 +473,13 @@ def parse_derivation(text: str, ctx: Context) -> list:
     return steps
 
 
+_STEP_TOKEN_RE = re.compile(r"(?:[^\s']|'[^']*')+")  # quotes keep their spaces
+
+
 def _split_tokens(line: str) -> list[str]:
-    out, buf, quoted = [], [], False
-    for ch in line:
-        if ch == "'":
-            quoted = not quoted
-            buf.append(ch)
-        elif ch.isspace() and not quoted:
-            if buf:
-                out.append("".join(buf))
-                buf = []
-        else:
-            buf.append(ch)
-    if quoted:
+    if line.count("'") % 2:
         raise AxiomError("unterminated quote")
-    if buf:
-        out.append("".join(buf))
-    return out
+    return _STEP_TOKEN_RE.findall(line)
 
 
 def _parse_step_line(line: str, ctx: Context):

@@ -77,8 +77,8 @@ class Chain:
     def levels(self) -> set[int]:
         return {i + j for i, j in self.binders}
 
-    def to_term(self, ctx: Context, bound_names: tuple[str, ...] | None = None) -> Term:
-        names = bound_names or chain_binder_names(ctx, self.dimension)
+    def to_term(self, ctx: Context) -> Term:
+        names = chain_binder_names(ctx, self.dimension)
         args = tuple(ctx.params[idx - 1] if tag == "F" else names[idx - 1]
                      for tag, idx in self.argmap)
         t: Term = VarApp(self.var, args)

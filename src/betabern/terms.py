@@ -16,7 +16,7 @@ freely between threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 RESERVED_WORDS = frozenset({"rch", "pch", "nu", "params", "vars"})
 
@@ -144,14 +144,14 @@ class Nu(Term):
 Path = tuple[str, ...]
 
 
+_FIELD = {"l": "left", "r": "right", "b": "body"}  # selector -> node field
+
+
 def child(t: Term, sel: str) -> Term:
-    if sel == "l" and isinstance(t, (RatioChoice, ParamChoice)):
-        return t.left
-    if sel == "r" and isinstance(t, (RatioChoice, ParamChoice)):
-        return t.right
-    if sel == "b" and isinstance(t, Nu):
-        return t.body
-    raise TermError(f"selector {sel!r} does not apply to {type(t).__name__}")
+    try:  # only choices have ``left``/``right`` and only binders ``body``
+        return getattr(t, _FIELD[sel])
+    except (KeyError, AttributeError):
+        raise TermError(f"selector {sel!r} does not apply to {type(t).__name__}") from None
 
 
 def subterm_at(t: Term, path: Path) -> Term:
@@ -161,16 +161,15 @@ def subterm_at(t: Term, path: Path) -> Term:
 
 
 def replace_at(t: Term, path: Path, new: Term) -> Term:
-    if not path:
-        return new
-    sel, rest = path[0], path[1:]
-    inner = replace_at(child(t, sel), rest, new)
-    if isinstance(t, RatioChoice):
-        return RatioChoice(t.i, t.j, inner, t.right) if sel == "l" else RatioChoice(t.i, t.j, t.left, inner)
-    if isinstance(t, ParamChoice):
-        return ParamChoice(t.param, inner, t.right) if sel == "l" else ParamChoice(t.param, t.left, inner)
-    assert isinstance(t, Nu)
-    return Nu(t.i, t.j, t.param, inner)
+    """``t`` with the subterm at ``path`` replaced by ``new``: a walk down the
+    path, then one ``replace`` per node on the way back up."""
+    spine = []
+    for sel in path:
+        spine.append(t)
+        t = child(t, sel)
+    for node, sel in zip(reversed(spine), reversed(path)):
+        new = replace(node, **{_FIELD[sel]: new})
+    return new
 
 
 def format_path(path: Path) -> str:
@@ -311,31 +310,38 @@ def check_wellformed(ctx: Context, t: Term) -> list[Violation]:
 
 
 def alpha_eq(t: Term, u: Term) -> bool:
-    """True iff the terms differ only by renaming of bound parameters."""
+    """True iff the terms differ only by renaming of bound parameters.
 
-    def go(t: Term, u: Term, env_t: dict, env_u: dict, depth: int) -> bool:
+    One walk over both terms with an explicit stack of pairs.  Each pair
+    carries the binding depth of every bound name in scope and the depth
+    its next binder takes; a shadowing binder replaces a name's depth.
+    """
+    stack: list = [(t, u, {}, {}, 0)]
+    while stack:
+        t, u, env_t, env_u, depth = stack.pop()
         if type(t) is not type(u):
             return False
         if isinstance(t, VarApp):
-            if t.var != u.var or len(t.args) != len(u.args):
+            if t.var != u.var or len(t.args) != len(u.args) or any(
+                    env_t.get(a, a) != env_u.get(b, b) for a, b in zip(t.args, u.args)):
                 return False
-            return all(env_t.get(a, a) == env_u.get(b, b)
-                       for a, b in zip(t.args, u.args))
-        if isinstance(t, RatioChoice):
-            return (t.i, t.j) == (u.i, u.j) and \
-                go(t.left, u.left, env_t, env_u, depth) and \
-                go(t.right, u.right, env_t, env_u, depth)
-        if isinstance(t, ParamChoice):
-            return env_t.get(t.param, t.param) == env_u.get(u.param, u.param) and \
-                go(t.left, u.left, env_t, env_u, depth) and \
-                go(t.right, u.right, env_t, env_u, depth)
-        assert isinstance(t, Nu) and isinstance(u, Nu)
-        if (t.i, t.j) != (u.i, u.j):
-            return False
-        return go(t.body, u.body,
-                  {**env_t, t.param: depth}, {**env_u, u.param: depth}, depth + 1)
-
-    return go(t, u, {}, {}, 0)
+        elif isinstance(t, Nu):
+            if (t.i, t.j) != (u.i, u.j):
+                return False
+            stack.append((t.body, u.body, {**env_t, t.param: depth},
+                          {**env_u, u.param: depth}, depth + 1))
+        elif isinstance(t, (RatioChoice, ParamChoice)):
+            if isinstance(t, RatioChoice):
+                same = (t.i, t.j) == (u.i, u.j)
+            else:
+                same = env_t.get(t.param, t.param) == env_u.get(u.param, u.param)
+            if not same:
+                return False
+            stack += ((t.right, u.right, env_t, env_u, depth),
+                      (t.left, u.left, env_t, env_u, depth))
+        else:
+            raise TermError(f"not a term: {t!r}")
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -255,14 +255,17 @@ class TestDeepInput:
 
     CONTEXT = "params: - ; vars: y:0, z:0"
 
-    def cli(self, command, depth):
+    def cli(self, command, depth, *argv):
         deep = "rch[1,2](z, " * depth + "y" + ")" * depth
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env = {**os.environ, "PYTHONPATH": src}
-        terms = ["-t", deep] * (2 if command == "decide" else 1)
+        if command == "replay":
+            terms = ["--start", deep, "--end", deep]
+        else:
+            terms = ["-t", deep] * (2 if command == "decide" else 1)
         return subprocess.run(
             [sys.executable, "-m", "betabern.cli", command, "--context", self.CONTEXT,
-             *terms, "--no-banner"],
+             *terms, *argv, "--no-banner"],
             capture_output=True, text=True, env=env, timeout=60)
 
     @pytest.mark.parametrize("command", ["normalize", "decide"])
@@ -282,3 +285,12 @@ class TestDeepInput:
     def test_depth_900_still_decided(self, command):
         proc = self.cli(command, 900)
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("swaps", [0, 2])
+    def test_replay_deep_chain(self, tmp_path, swaps):
+        # ConvexSymm twice on the innermost choice returns to the start term
+        steps = tmp_path / "steps.txt"
+        steps.write_text(f"ConvexSymm lr path={'.'.join('r' * 2999)}\n" * swaps)
+        proc = self.cli("replay", 3000, "--steps", str(steps))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "derivation ok\n"

@@ -23,6 +23,7 @@ from betabern import (
     parse_term,
     substitute,
 )
+from betabern.terms import replace_at, subterm_at
 from termgen import gen_term
 
 CTX = parse_context("params: p ; vars: x:0, y:0")
@@ -309,6 +310,24 @@ class TestAlpha:
         assert not alpha_eq(parse_term("pch[p](x, y)", ctx),
                             parse_term("pch[q](x, y)", ctx))
 
+    def test_shadowing_binder_counts_by_depth(self):
+        # the inner ``a`` shadows the outer one: x(a, b) names the second
+        # and third binders, so a depth read off the number of names in
+        # scope would give both arguments the same depth
+        x = lambda *args: VarApp("x", args)
+        t = Nu(1, 1, "a", Nu(1, 1, "a", Nu(1, 1, "b", x("a", "b"))))
+        assert alpha_eq(t, Nu(1, 1, "c", Nu(1, 1, "d", Nu(1, 1, "e", x("d", "e")))))
+        assert not alpha_eq(t, Nu(1, 1, "c", Nu(1, 1, "d", Nu(1, 1, "e", x("d", "d")))))
+        assert not alpha_eq(t, Nu(1, 1, "c", Nu(1, 1, "d", Nu(1, 1, "e", x("c", "e")))))
+        inner = Nu(1, 1, "a", Nu(1, 1, "a", ParamChoice("a", x(), x())))
+        assert alpha_eq(inner, Nu(1, 1, "b", Nu(1, 1, "c", ParamChoice("c", x(), x()))))
+        assert not alpha_eq(inner, Nu(1, 1, "b", Nu(1, 1, "c", ParamChoice("b", x(), x()))))
+
+    def test_deep_chain(self):
+        deep = "rch[1,2](y, " * 5000 + "z" + ")" * 5000
+        assert alpha_eq(parse_term(deep, YZ), parse_term(deep, YZ))
+        assert not alpha_eq(parse_term(deep, YZ), parse_term(deep.replace("z)", "y)"), YZ))
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32))
     def test_equivalence_relation(self, seed):
@@ -323,6 +342,25 @@ class TestAlpha:
             assert alpha_eq(a, c)
         if alpha_eq(a, b):
             assert free_params(a) == free_params(b)
+
+
+class TestPaths:
+    def test_replace_at_rebuilds_the_spine(self):
+        t = parse_term("nu[1,1]q.pch[p](x, rch[1,2](x, y))", CTX)
+        out = replace_at(t, ("b", "r", "l"), VarApp("y"))
+        assert out == parse_term("nu[1,1]q.pch[p](x, rch[1,2](y, y))", CTX)
+        assert subterm_at(out, ("b", "l")) == VarApp("x")
+        assert replace_at(t, (), VarApp("x")) == VarApp("x")
+
+    @pytest.mark.parametrize("text, path, kind", [
+        ("pch[p](x, y)", ("b",), "ParamChoice"),
+        ("nu[1,1]q.x", ("l",), "Nu"),
+        ("rch[1,1](x, y)", ("r", "r"), "VarApp"),
+        ("rch[1,1](x, y)", ("s",), "RatioChoice"),
+    ])
+    def test_selector_must_fit_the_node(self, text, path, kind):
+        with pytest.raises(TermError, match=f"selector '{path[-1]}' does not apply to {kind}"):
+            replace_at(parse_term(text, CTX), path, VarApp("x"))
 
 
 class TestFreeParams:
