@@ -26,6 +26,7 @@ import re
 from dataclasses import dataclass, field, replace
 
 from .terms import (
+    MAX_NUMERAL_DIGITS,
     Context,
     Nu,
     ParamChoice,
@@ -340,35 +341,30 @@ def expand_scale(t: Term, path: Path, factor: int, direction: str) -> list[Rewri
             steps.append(RewriteStep("ConvexSymm", "lr", path))
         return steps
 
-    def divide_steps(i: int, j: int, f: int, path: Path) -> list[RewriteStep]:
-        # x rch[f*i, f*j] y  ->  x rch[i,j] y
-        if f == 1:
-            return []
-        steps = [
-            RewriteStep("ConvexIdem", "rl", path + ("l",), {"i": i, "j": (f - 1) * i}),
-            RewriteStep("ConvexIdem", "rl", path + ("r",), {"i": j, "j": (f - 1) * j}),
-            RewriteStep("ConvexDistr", "lr", path),
-        ]
-        steps += divide_steps(i, j, f - 1, path + ("r",))
-        steps.append(RewriteStep("ConvexIdem", "lr", path))
-        return steps
-
-    def multiply_steps(i: int, j: int, f: int, path: Path) -> list[RewriteStep]:
-        # x rch[i,j] y  ->  x rch[f*i, f*j] y
-        if f == 1:
-            return []
-        steps = [RewriteStep("ConvexIdem", "rl", path, {"i": i + j, "j": (f - 1) * (i + j)})]
-        steps += multiply_steps(i, j, f - 1, path + ("r",))
-        steps += [
-            RewriteStep("ConvexDistr", "rl", path),
-            RewriteStep("ConvexIdem", "lr", path + ("l",)),
-            RewriteStep("ConvexIdem", "lr", path + ("r",)),
-        ]
-        return steps
-
-    if direction == "lr":
-        return divide_steps(i, j, factor, path)
-    return multiply_steps(i, j, factor, path)
+    # One level per unit of the factor, each one branch deeper: a level's
+    # opening steps come in order and its closing steps in reverse, as a
+    # recursion on the factor would emit them.
+    opening: list[RewriteStep] = []
+    closing: list[list[RewriteStep]] = []
+    for f in range(factor, 1, -1):
+        left, right = path + ("l",), path + ("r",)
+        if direction == "lr":  # x rch[f*i, f*j] y  ->  x rch[i,j] y
+            opening += [
+                RewriteStep("ConvexIdem", "rl", left, {"i": i, "j": (f - 1) * i}),
+                RewriteStep("ConvexIdem", "rl", right, {"i": j, "j": (f - 1) * j}),
+                RewriteStep("ConvexDistr", "lr", path),
+            ]
+            closing.append([RewriteStep("ConvexIdem", "lr", path)])
+        else:  # x rch[i,j] y  ->  x rch[f*i, f*j] y
+            opening.append(RewriteStep("ConvexIdem", "rl", path,
+                                       {"i": i + j, "j": (f - 1) * (i + j)}))
+            closing.append([
+                RewriteStep("ConvexDistr", "rl", path),
+                RewriteStep("ConvexIdem", "lr", left),
+                RewriteStep("ConvexIdem", "lr", right),
+            ])
+        path = right
+    return opening + [step for level in reversed(closing) for step in level]
 
 
 def expand_ratio_comm(t: Term, path: Path, direction: str) -> list[RewriteStep]:
@@ -500,6 +496,10 @@ def _parse_step_line(line: str, ctx: Context):
         if value.startswith("'") and value.endswith("'"):
             inst[key] = parse_term(value[1:-1], ctx)
         elif value.lstrip("-").isdigit():
+            digits = len(value.lstrip("-"))
+            if digits > MAX_NUMERAL_DIGITS:
+                raise AxiomError(f"field {key!r}: numeral of {digits} digits exceeds "
+                                 f"the limit of {MAX_NUMERAL_DIGITS}")
             inst[key] = int(value)
         else:
             inst[key] = value

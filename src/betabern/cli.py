@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -86,6 +87,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
+@contextmanager
+def _long_ints():
+    """Lift Python's int-string limit while output is formatted.  Input
+    numerals are capped by the parsers, but the weights derived from them
+    may pass the limit, and they print in full."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def _banner(opts) -> None:
     if not getattr(opts, "no_banner", False):
         print(f"betabern {__version__}")
@@ -127,10 +143,11 @@ def _cmd_normalize(opts) -> int:
     if len(terms) != 1:
         raise UsageError("normalize needs exactly one term")
     nf = normalize(ctx, terms[0])
-    if opts.format == "structured":
-        print(json.dumps(normal_form_to_dict(nf), indent=2, sort_keys=True))
-    else:
-        print(format_normal_form(nf))
+    with _long_ints():
+        if opts.format == "structured":
+            print(json.dumps(normal_form_to_dict(nf), indent=2, sort_keys=True))
+        else:
+            print(format_normal_form(nf))
     return 0
 
 
@@ -147,6 +164,7 @@ def _read_corpus_file(path: Path, default_ctx: Context | None):
     return ctx, parse_term(lines[0], ctx), parse_term(lines[1], ctx)
 
 
+@_long_ints()
 def _print_verdict(ctx: Context, verdict, fmt: str, label: str = "") -> None:
     prefix = f"{label}: " if label else ""
     if fmt == "structured":
@@ -239,7 +257,8 @@ def _cmd_eval(opts) -> int:
     if missing:
         raise UsageError(f"missing --arg for variables: {', '.join(missing)}")
     value = interpret(ctx, terms[0], args)
-    print(format_poly(value))
+    with _long_ints():
+        print(format_poly(value))
     return 0
 
 

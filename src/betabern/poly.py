@@ -11,6 +11,8 @@ import re
 from fractions import Fraction
 from operator import add
 
+from .terms import MAX_NUMERAL_DIGITS
+
 
 class PolyError(Exception):
     pass
@@ -41,23 +43,23 @@ class Poly:
     def make(vars, terms) -> Poly:
         """Build and normalize from possibly unsorted/sparse data."""
         vars = tuple(vars)
-        cleaned = {}
+        cleaned: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in terms.items():
             coeff = Fraction(coeff)
             if coeff:
-                cleaned[tuple(exps)] = cleaned.get(tuple(exps), Fraction(0)) + coeff
-        cleaned = {e: c for e, c in cleaned.items() if c}
+                _accumulate(cleaned, tuple(exps), coeff)
         if not cleaned:
             return Poly((), {})
-        used = [any(e[i] for e in cleaned) for i in range(len(vars))]
+        used = [any(column) for column in zip(*cleaned)]
         order = sorted((v, i) for i, v in enumerate(vars) if used[i])
         new_vars = tuple(v for v, _ in order)
+        if new_vars == vars:
+            return Poly(vars, cleaned)
         idx = [i for _, i in order]
         out: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in cleaned.items():
-            key = tuple(exps[i] for i in idx)
-            out[key] = out.get(key, Fraction(0)) + coeff
-        return Poly(new_vars, {e: c for e, c in out.items() if c})
+            _accumulate(out, tuple(exps[i] for i in idx), coeff)
+        return Poly(new_vars, out)
 
     @staticmethod
     def const(value) -> Poly:
@@ -366,6 +368,9 @@ def _poly_tokens(src: str):
     for m in _POLY_TOKEN_RE.finditer(src):
         if m.lastgroup == "bad":
             raise PolyError(f"unexpected character {m.group()!r} in polynomial")
+        if m.lastgroup == "nat" and len(m.group()) > MAX_NUMERAL_DIGITS:
+            raise PolyError(f"numeral of {len(m.group())} digits exceeds the limit of "
+                            f"{MAX_NUMERAL_DIGITS} in polynomial")
         tokens.append((m.lastgroup, m.group()))
     tokens.append(("end", ""))
     return tokens

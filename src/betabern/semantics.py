@@ -13,17 +13,27 @@ The module also provides the Bernstein basis machinery used by normal
 forms, a linear-independence check for chain functionals, and the inverse
 direction: synthesizing a term from a nonnegative Bernstein coefficient
 table.
+
+Two oracles compare denotations.  :func:`functional_eq` sweeps every
+monomial argument exactly over the rationals and carries the completeness
+argument.  :func:`functional_eq_sampled` is a Schwartz-Zippel test over
+GF(p) for a uniform random prime p in [2^61, 2^62), drawn afresh (with new
+points and coefficients) whenever p divides a denominator ``i+j`` or
+``i+j+s``.  Reduction mod p is a ring homomorphism on the rationals with
+p-free denominators, so equal terms are never reported unequal; a
+difference is missed with probability below the 1/(2^30-1) of one draw
+over the rationals (the bound is stated at the function).
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm, prod
 
-from .normalizer import Chain, NormalForm, TreeDiagram, level_and_depth, multichoice
+from .normalizer import Chain, NormalForm, TreeDiagram, multichoice
 from .poly import Poly, PolyError, monomial
 from .terms import (
     Context,
@@ -180,42 +190,256 @@ def interpret(ctx: Context, t: Term, args: dict[str, FuncArg]) -> Poly:
     """Value of ``t`` on the given polynomial arguments, as a polynomial in
     the free parameters."""
     _check_args(ctx, args)
-    return _interp(t, args, {})
+    walk = _Walk()
+    walk.load(args)
+    value = walk.run(_postorder(t))[id(t)]
+    names = tuple(walk.slots)
+    shifts = tuple(walk.slots.values())
+    return Poly.make(names, {tuple(m >> s & _SLOT_MASK for s in shifts): c
+                             for m, c in value.items()})
 
 
-def _interp(t: Term, args: dict[str, FuncArg], memo: dict[int, Poly]) -> Poly:
-    # a node's value ignores its surroundings, so physically shared subterms
-    # (diagrams built by reification share heavily) are evaluated once
-    cached = memo.get(id(t))
-    if cached is not None:
-        return cached
-    if isinstance(t, VarApp):
-        arg = args[t.var]
-        if len(arg.formals) != len(t.args):
-            raise TermError(f"arity mismatch at {t}")
-        out = arg.poly if not t.args else arg.poly.compose_monomials(arg.formals, t.args)
-    elif isinstance(t, RatioChoice):
-        wl, wr = _ratio_weights(t.i, t.j)
-        left = _interp(t.left, args, memo).scale(wl)
-        right = _interp(t.right, args, memo).scale(wr)
-        out = left + right
-    elif isinstance(t, ParamChoice):
-        right = _interp(t.right, args, memo)
-        diff = _interp(t.left, args, memo) - right
-        out = right + Poly.var(t.param) * diff if diff.terms else right
-    elif isinstance(t, Nu):
-        body = _interp(t.body, args, memo)
-        hyper = (t.i, t.j)
-        out = body.integrate_out(t.param, lambda e: beta_moment(hyper, e))
-    else:
-        raise TermError(f"not a term: {t!r}")
-    memo[id(t)] = out
+# A value is a dict from a packed monomial to a nonzero coefficient: the
+# exponent of the parameter in slot s sits in bits [64s, 64s+64), and slots
+# are handed out by name on first use.  An exponent is at most the arity
+# times an argument exponent (below 2^32) plus the choices on one path, so
+# it never spills into the next slot.  Over the rationals every parameter
+# has a slot and coefficients are Fractions.  Over GF(p) a free parameter
+# takes its point instead, and coefficients are ints in 1..p-1.  Values are
+# never mutated once stored, so an operation may return an operand.
+
+_SLOT_BITS = 64
+_SLOT_MASK = (1 << _SLOT_BITS) - 1
+
+
+class _Redraw(Exception):
+    """A denominator of the term is 0 mod the drawn prime."""
+
+
+class _Walk:
+    """The evaluator, over the rationals (``p`` is 0) or over GF(p) with a
+    point for each free parameter.  It runs through the nodes in post-order,
+    so no recursion limit applies.
+
+    Slots, ratio weights and Beta moments are kept across :meth:`load`, so
+    one walk serves a whole sweep.
+    """
+
+    def __init__(self, p: int = 0, points: dict[str, int] | None = None):
+        self.p = p
+        # per free parameter the powers x^0, x^1, ... of its point, grown on use
+        self.powers = {name: [1, x] for name, x in (points or {}).items()}
+        self.slots: dict[str, int] = {}
+        self.weights: dict[tuple[int, int], tuple] = {}
+        self.moments: dict[tuple[int, int], list] = {}
+        self.args: dict[str, tuple[int, int, list]] = {}
+        self.apps: dict[tuple, dict] = {}
+
+    def load(self, args: dict[str, FuncArg], coeff=None) -> None:
+        """Take new arguments, kept per variable as its arity, its largest
+        exponent and ``(exponents over the formals, coeff(coefficient))``
+        pairs."""
+        self.args, self.apps = {}, {}
+        for var, arg in args.items():
+            if not arg.poly.terms:
+                self.args[var] = (len(arg.formals), 0, [])
+                continue
+            where = [arg.formals.index(v) for v in arg.poly.vars]
+            spread = where != list(range(len(arg.formals)))
+            top = max((max(exps, default=0) for exps in arg.poly.terms), default=0)
+            if top >> 32:
+                raise PolyError(f"argument for {var!r} has an exponent past 2^32")
+            terms = []
+            for exps, c in arg.poly.terms.items():
+                if spread:
+                    full = [0] * len(arg.formals)
+                    for e, i in zip(exps, where):
+                        full[i] = e
+                    exps = full
+                terms.append((exps, c if coeff is None else coeff(c)))
+            self.args[var] = (len(arg.formals), top, terms)
+
+    def slot(self, name: str) -> int:
+        shift = self.slots.get(name)
+        if shift is None:
+            shift = self.slots[name] = len(self.slots) * _SLOT_BITS
+        return shift
+
+    def run(self, order: list[Term]) -> dict[int, dict]:
+        """The value of every node of ``order`` (from :func:`_postorder`),
+        by node ``id``.  A node's value ignores its surroundings, so a
+        shared subterm is evaluated once."""
+        memo: dict[int, dict] = {}
+        for node in order:
+            kind = type(node)
+            if kind is VarApp:
+                memo[id(node)] = self.apply(node)
+            elif kind is Nu:
+                memo[id(node)] = self.integrate(node, memo[id(node.body)])
+            else:
+                memo[id(node)] = self.choose(node, memo[id(node.left)], memo[id(node.right)])
+        return memo
+
+    def apply(self, node: VarApp) -> dict:
+        key = (node.var, node.args)
+        out = self.apps.get(key)
+        if out is None:
+            if node.var not in self.args:
+                raise TermError(f"no argument for variable {node.var!r}")
+            arity, top, terms = self.args[node.var]
+            if arity != len(node.args):
+                raise TermError(f"arity mismatch at {node}")
+            out = self.apps[key] = {}
+            if not terms:  # a zero argument
+                return out
+            p = self.p
+            # per position: the slot of a symbolic parameter, or the powers
+            # of a free parameter's point up to the largest exponent
+            plan = []
+            for a in node.args:
+                row = self.powers.get(a)
+                if row is None:
+                    plan.append((self.slot(a), None))
+                    continue
+                while len(row) <= top:
+                    row.append(row[-1] * row[1] % p)
+                plan.append((0, row))
+            for exps, c in terms:
+                m = 0
+                for e, (shift, row) in zip(exps, plan):
+                    if e:
+                        if row is None:
+                            m += e << shift
+                        else:
+                            c = c * row[e] % p
+                _add(out, m, c, p)
+        return out
+
+    def choose(self, node, left: dict, right: dict) -> dict:
+        p = self.p
+        if type(node) is RatioChoice:
+            wl, wr = self.ratio(node.i, node.j)
+        elif node.param in self.powers:
+            wl = self.powers[node.param][1]
+            wr = (1 - wl) % p
+        else:  # a symbolic parameter q: right + q * (left - right)
+            if left == right:
+                return right
+            unit = 1 << self.slot(node.param)
+            out = dict(right)
+            for m, v in left.items():
+                _add(out, m + unit, v, p)
+            for m, v in right.items():
+                _add(out, m + unit, -v, p)
+            return out
+        if not right or not wr:
+            return self.scaled(left, wl)
+        if not left or not wl:
+            return self.scaled(right, wr)
+        out = self.scaled(left, wl)
+        for m, v in right.items():
+            _add(out, m, v * wr, p)
+        return out
+
+    def scaled(self, value: dict, w) -> dict:
+        if not value or not w:
+            return {}
+        if self.p:
+            return {m: v * w % self.p for m, v in value.items()}
+        return {m: v * w for m, v in value.items()}
+
+    def ratio(self, i: int, j: int) -> tuple:
+        if i + j == 0:
+            raise TermError("ratio choice needs total weight i+j > 0")
+        w = self.weights.get((i, j))
+        if w is None:
+            p = self.p
+            if not p:
+                w = Fraction(i, i + j), Fraction(j, i + j)
+            elif (i + j) % p:
+                inv = pow(i + j, -1, p)
+                w = i * inv % p, j * inv % p
+            else:
+                raise _Redraw
+            self.weights[(i, j)] = w
+        return w
+
+    def integrate(self, node: Nu, body: dict) -> dict:
+        moments = self.beta_moments(node.i, node.j, 0)
+        shift = self.slots.get(node.param)
+        if shift is None:  # the parameter occurs nowhere yet
+            return body
+        p = self.p
+        out: dict = {}
+        for m, v in body.items():
+            e = m >> shift & _SLOT_MASK
+            if e:
+                if len(moments) <= e:
+                    moments = self.beta_moments(node.i, node.j, e)
+                m -= e << shift
+                v *= moments[e]
+            _add(out, m, v, p)
+        return out
+
+    def beta_moments(self, i: int, j: int, e: int) -> list:
+        """E[q^0..q^e] (at least) under Beta(i, j), as
+        prod_{s<e} (i+s)/(i+j+s)."""
+        moments = self.moments.get((i, j))
+        if moments is None:
+            if i < 1 or j < 1:
+                raise TermError(f"beta hyperparameters must be positive, got ({i},{j})")
+            moments = self.moments[(i, j)] = [1]
+        p = self.p
+        while len(moments) <= e:
+            s = len(moments) - 1
+            if not p:
+                moments.append(moments[-1] * Fraction(i + s, i + j + s))
+            elif (i + j + s) % p:
+                moments.append(moments[-1] * (i + s) * pow(i + j + s, -1, p) % p)
+            else:
+                raise _Redraw
+        return moments
+
+
+_DONE = object()  # _postorder's stack marker: the node below it is complete
+
+
+def _postorder(*roots: Term) -> list[Term]:
+    """Every node under ``roots`` once, children before parents."""
+    out: list[Term] = []
+    seen: set[int] = set()
+    stack: list = list(reversed(roots))
+    while stack:
+        node = stack.pop()
+        if node is _DONE:
+            out.append(stack.pop())
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        kind = type(node)
+        if kind is RatioChoice or kind is ParamChoice:
+            stack += (node, _DONE, node.right, node.left)
+        elif kind is Nu:
+            stack += (node, _DONE, node.body)
+        elif kind is VarApp:
+            out.append(node)
+        else:
+            raise TermError(f"not a term: {node!r}")
     return out
 
 
-@lru_cache(maxsize=None)
-def _ratio_weights(i: int, j: int) -> tuple[Fraction, Fraction]:
-    return Fraction(i, i + j), Fraction(j, i + j)
+def _add(out: dict, m: int, v, p: int) -> None:
+    """Add ``v`` at monomial ``m`` (mod ``p`` if nonzero), keeping ``out``
+    free of zero coefficients."""
+    s = out.get(m)
+    s = v if s is None else s + v
+    if p:
+        s %= p
+    if s:
+        out[m] = s
+    else:
+        out.pop(m, None)
 
 
 def zero_args(ctx: Context) -> dict[str, FuncArg]:
@@ -409,26 +633,29 @@ def term_from_bernstein(ctx: Context, k: int, coeffs) -> Term:
 # sweep degree defaults to max(2, max binder level); free parameters stay
 # symbolic throughout.  Each argument vector gets a fresh memo, shared by
 # both terms since a node's value depends only on the arguments.  Every
-# value is a Poly in normal form, so ``!=`` compares the two polynomials in
-# the free parameters exactly.
+# value is free of zero coefficients, so ``!=`` compares the two
+# polynomials in the free parameters exactly.
 
 
-def oracle_degree(t: Term, u: Term) -> int:
-    return max(2, level_and_depth(t)[0], level_and_depth(u)[0])
+def _sweep_degree(order: list[Term]) -> int:
+    """max(2, the largest binder level ``i + j`` among the nodes)."""
+    return max([2] + [node.i + node.j for node in order if type(node) is Nu])
 
 
 def functional_eq(ctx: Context, t: Term, u: Term, degree: int | None = None) -> bool:
     """Exhaustive monomial-basis comparison of the two denotations."""
+    order = _postorder(t, u)  # shared: rewrites reuse subterms
     if degree is None:
-        degree = oracle_degree(t, u)
+        degree = _sweep_degree(order)
+    walk = _Walk()
     for var, arity in ctx.vars:
         formals = standard_formals(arity)
         for exps in itertools.product(range(degree + 1), repeat=arity):
             args = zero_args(ctx)
             args[var] = FuncArg(formals, monomial(dict(zip(formals, exps))))
-            _check_args(ctx, args)
-            memo: dict[int, Poly] = {}  # shared: rewrites reuse subterms
-            if _interp(t, args, memo) != _interp(u, args, memo):
+            walk.load(args)
+            memo = walk.run(order)
+            if memo[id(t)] != memo[id(u)]:
                 return False
     return True
 
@@ -441,19 +668,100 @@ def random_poly_args(ctx: Context, rng, degree: int) -> dict[str, FuncArg]:
         formals = standard_formals(arity)
         terms = {}
         for exps in itertools.product(range(degree + 1), repeat=arity):
-            terms[exps] = Fraction(rng.randrange(1, 1 << 30))
+            terms[exps] = rng.randrange(1, 1 << 30)
         args[var] = FuncArg(formals, Poly.make(formals, terms))
     return args
 
 
 def functional_eq_sampled(ctx: Context, t: Term, u: Term, rng,
                           degree: int | None = None) -> bool:
-    """One-shot randomized variant: exact arithmetic on random dense
-    polynomial arguments (a disagreement escapes detection only if the
-    random coefficient vector lands in a fixed hyperplane)."""
+    """One-shot randomized variant of :func:`functional_eq`, a
+    Schwartz-Zippel test over a random prime field GF(p).
+
+    The caller's ``rng`` makes exactly the draws of
+    :func:`random_poly_args`.  Everything else comes from a child
+    ``random.Random`` seeded with those draws: a uniform prime ``p`` in
+    [2^61, 2^62) (deterministic Miller-Rabin, exact below 2^64), then a
+    uniform draw from [0, 2^61) for each free parameter and for an offset
+    added to each argument coefficient.  Values are polynomials in the
+    bound parameters in scope with coefficients in GF(p); ratio weights and
+    Beta moments use modular inverses.  If a denominator ``i+j`` or
+    ``i+j+s`` is 0 mod p, the whole draw (prime, points, offsets) is made
+    again, so every value is the image of the exact one.
+
+    Equal terms are never reported unequal: with p-free denominators,
+    reduction mod p is a ring homomorphism from those rationals onto GF(p),
+    and it commutes with every step of the evaluation.  A difference ``D``
+    (a nonzero polynomial in the argument coefficients and the free
+    parameters) is missed with probability at most
+    ``deg(D)/2^61 + B/(61 * 2^55)``.  The first term is Schwartz-Zippel
+    with 2^61 values per variable, where ``deg(D) <= 1 + a*d + c`` for
+    largest arity ``a``, sweep degree ``d`` and ``c`` choices on one path.
+    The second bounds the chance that ``p`` divides the numerator, of ``B``
+    bits, of a nonzero coefficient of ``D``: at most ``B/61`` of the more
+    than 2^55 primes in range do, and a redraw removes only the few that
+    divide a denominator.  While ``a*d + c < 2^29`` and
+    ``B < 2^30`` this stays below the 1/(2^30-1) of one rational draw.
+    Terms must be well-formed in ``ctx``: names not in ``ctx.params`` are
+    taken for bound ones.
+    """
+    order = _postorder(t, u)
     if degree is None:
-        degree = oracle_degree(t, u)
+        degree = _sweep_degree(order)
     args = random_poly_args(ctx, rng, degree)
-    _check_args(ctx, args)
-    memo: dict[int, Poly] = {}
-    return _interp(t, args, memo) == _interp(u, args, memo)
+    seed = 0
+    for arg in args.values():
+        for c in arg.poly.terms.values():
+            seed = seed << 30 | c.numerator
+    child = random.Random(seed)
+    while True:
+        p = _random_prime(child)
+        walk = _Walk(p, {name: child.getrandbits(61) for name in ctx.params})
+        walk.load(args, lambda c: (c.numerator + child.getrandbits(61)) % p)
+        try:
+            memo = walk.run(order)
+        except _Redraw:
+            continue
+        return memo[id(t)] == memo[id(u)]
+
+
+# ---------------------------------------------------------------------------
+# Random primes for the sampled oracle.
+
+# an odd candidate that shares a factor with this product of the odd primes
+# below 300 is skipped before Miller-Rabin
+_SMALL_PRODUCT = prod(q for q in range(3, 300, 2) if all(q % d for d in range(3, q, 2)))
+# Miller-Rabin with these seven bases is exact for every n below 2^64
+# (Sinclair's set), where the prime bases 2..37 need twelve.
+_MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with :data:`_MR_BASES`, exact for odd ``n`` between 3
+    and 2^64."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        a %= n
+        if not a:  # a multiple of n witnesses nothing
+            continue
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _random_prime(rng) -> int:
+    """A uniform prime in [2^61, 2^62)."""
+    while True:
+        n = rng.getrandbits(61) | 1 << 61 | 1
+        if gcd(n, _SMALL_PRODUCT) == 1 and _is_prime(n):
+            return n

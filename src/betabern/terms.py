@@ -19,6 +19,9 @@ import re
 from dataclasses import dataclass, replace
 
 RESERVED_WORDS = frozenset({"rch", "pch", "nu", "params", "vars"})
+# Python's default limit on int <-> str conversion, which is quadratic in
+# length; input numerals are held to it whatever the interpreter's setting.
+MAX_NUMERAL_DIGITS = 4300
 
 _IDENT = r"[A-Za-z][A-Za-z0-9_]*"
 _IDENT_RE = re.compile(_IDENT + r"\Z")
@@ -448,10 +451,16 @@ class _Cursor:
     def __init__(self, src: str):
         self.src = src
         self.toks = _TOKEN_RE.findall(src)
-        bad = {tok for tok in set(self.toks) if not _VALID_RE.match(tok)}
+        distinct = set(self.toks)
+        bad = {tok for tok in distinct if not _VALID_RE.match(tok)}
         if bad:
             k = next(k for k, tok in enumerate(self.toks) if tok in bad)
             self.fail(f"unexpected character {self.toks[k]!r}", k)
+        long = {tok for tok in distinct if len(tok) > MAX_NUMERAL_DIGITS and tok.isdigit()}
+        if long:
+            k = next(k for k, tok in enumerate(self.toks) if tok in long)
+            self.fail(f"numeral of {len(self.toks[k])} digits exceeds the limit of "
+                      f"{MAX_NUMERAL_DIGITS}", k)
         self.toks.append("")
 
     def fail(self, message: str, k: int):

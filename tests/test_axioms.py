@@ -22,6 +22,7 @@ from betabern import (
     parse_derivation,
     parse_term,
 )
+from betabern.axioms import expand_scale
 from betabern.papersuite import (
     derivation_nested_binder,
     derivation_single_binder,
@@ -362,6 +363,30 @@ class TestDerivations:
         assert not check_derivation(CTX, t, [rs("ConvexSymm")], t)
 
 
+def recursive_scale_steps(i: int, j: int, f: int, path, direction: str) -> list:
+    """The recursive construction of ``expand_scale``'s steps for weights
+    ``(i, j)`` and factor ``f``, one call per unit of ``f``: the reference
+    for the loop that replaced it."""
+    if f == 1:
+        return []
+    deeper = recursive_scale_steps(i, j, f - 1, path + ("r",), direction)
+    if direction == "lr":  # x rch[f*i, f*j] y  ->  x rch[i,j] y
+        return [
+            RewriteStep("ConvexIdem", "rl", path + ("l",), {"i": i, "j": (f - 1) * i}),
+            RewriteStep("ConvexIdem", "rl", path + ("r",), {"i": j, "j": (f - 1) * j}),
+            RewriteStep("ConvexDistr", "lr", path),
+            *deeper,
+            RewriteStep("ConvexIdem", "lr", path),
+        ]
+    return [  # x rch[i,j] y  ->  x rch[f*i, f*j] y
+        RewriteStep("ConvexIdem", "rl", path, {"i": i + j, "j": (f - 1) * (i + j)}),
+        *deeper,
+        RewriteStep("ConvexDistr", "rl", path),
+        RewriteStep("ConvexIdem", "lr", path + ("l",)),
+        RewriteStep("ConvexIdem", "lr", path + ("r",)),
+    ]
+
+
 class TestMacros:
     def test_scaling_derivable(self):
         # x rch[ki,kj] y  =  x rch[i,j] y, both directions
@@ -395,6 +420,23 @@ class TestMacros:
                 f"rch[{i},{j}](rch[{k},{l}](w,y), rch[{k},{l}](x,z))", CTX)
             assert check_derivation(CTX, start,
                                     [MacroStep("RatioComm", "lr", ())], end)
+
+    @pytest.mark.parametrize("direction", ["lr", "rl"])
+    def test_scale_steps_match_the_recursive_construction(self, direction):
+        i, j = 2, 3
+        for k in range(1, 301):
+            f = k if direction == "lr" else 1
+            t = RatioChoice(1, 1, VarApp("z"), RatioChoice(f * i, f * j, VarApp("x"), VarApp("y")))
+            assert expand_scale(t, ("r",), k, direction) == \
+                recursive_scale_steps(i, j, k, ("r",), direction), k
+
+    @pytest.mark.parametrize("direction", ["lr", "rl"])
+    def test_scale_by_5000_builds_without_recursion(self, direction):
+        k = 5000
+        f = k if direction == "lr" else 1
+        steps = expand_scale(RatioChoice(f, 2 * f, VarApp("x"), VarApp("y")), (), k, direction)
+        assert len(steps) == 4 * (k - 1)
+        assert len(max((step.path for step in steps), key=len)) == k - 1
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(2, 5))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from math import gcd
 
 import pytest
 
@@ -188,6 +189,85 @@ class TestNonAsciiInput:
         assert code == EX_DATAERR, err
         assert "unexpected character '\u00b2'" in err
         assert "Traceback" not in err and "internal error" not in err
+
+
+class TestLongNumerals:
+    """Input numerals past Python's 4,300-digit int-string limit are refused
+    at their token; derived weights past it print in full."""
+
+    def test_overlong_weight_exits_65(self, capsys):
+        code, _, err = run(capsys, "check", "--context", YZ,
+                           "-t", f"rch[{'1' * 5000},1](y, z)", "--no-banner")
+        assert code == EX_DATAERR
+        assert err == "error: line 1, col 5: numeral of 5000 digits exceeds the limit of 4300\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "--context", f"params: - ; vars: y:{'1' * 4301}", "-t", "y"),
+        ("eval", "--context", "params: - ; vars: x:1", "-t", "nu[1,1]p.x(p)",
+         "-a", f"f_x(a) = {'9' * 4301}*a"),
+    ])
+    def test_overlong_numerals_elsewhere_exit_65(self, capsys, argv):
+        code, _, err = run(capsys, *argv, "--no-banner")
+        assert code == EX_DATAERR, err
+        assert "numeral of 4301 digits exceeds the limit of 4300" in err
+
+    def test_overlong_derivation_field_exits_65(self, capsys, tmp_path):
+        steps = tmp_path / "steps.txt"
+        steps.write_text(f"Scale rl path=. k={'1' * 4301}\n")
+        code, _, err = run(capsys, "replay", "--context", YZ, "--start", "rch[1,2](y,z)",
+                           "--end", "rch[1,2](y,z)", "--steps", str(steps), "--no-banner")
+        assert code == EX_DATAERR
+        assert err == ("error: derivation line 1: field 'k': numeral of 4301 digits "
+                       "exceeds the limit of 4300\n")
+
+    def test_numeral_at_the_limit_accepted(self, capsys):
+        term = f"rch[{'1' * 4300},1](y, z)"
+        code, out, _ = run(capsys, "check", "--context", YZ, "-t", term, "--no-banner")
+        assert code == 0 and out == f"ok: {term}\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_long_derived_weights_print(self, capsys, fmt):
+        a, b = "7" * 3000, "3" * 2500
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "normalize", "--context", "params: - ; vars: y:0, z:0, w:0",
+                             "-t", f"rch[{a},{b}](y, rch[{b},{a}](z, w))",
+                             "--format", fmt, "--no-banner")
+        assert code == 0, err
+        assert sys.get_int_max_str_digits() == limit  # restored after the command
+        a, b = int(a), int(b)
+        weights = [a * b, a * (a + b), b * b]  # chains w, y, z
+        g = gcd(*weights)
+        sys.set_int_max_str_digits(0)
+        try:
+            want = [w // g for w in weights]
+            assert max(len(str(w)) for w in want) > 4300
+            if fmt == "text":
+                assert f"I=(): {' '.join(map(str, want))}\n" in out
+            else:
+                assert json.loads(out)["weights"] == [want]
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_int_string_limit_holds_outside_output(self, capsys, monkeypatch):
+        import betabern.cli as cli
+        seen = []
+
+        def spy(ctx, t):
+            seen.append(sys.get_int_max_str_digits())
+            return normalize(ctx, t)
+
+        normalize = cli.normalize
+        monkeypatch.setattr(cli, "normalize", spy)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, _, err = run(capsys, "normalize", "--context", YZ, "-t", "rch[1,2](y, z)",
+                               "--no-banner")
+            assert code == 0, err
+            assert seen == [4300]  # lifted only while printing
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestReplay:

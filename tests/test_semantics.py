@@ -10,7 +10,10 @@ from hypothesis import given, settings, strategies as st
 from betabern import (
     Chain,
     FuncArg,
+    Nu,
+    ParamChoice,
     Poly,
+    RatioChoice,
     bernstein,
     bernstein_multi,
     beta_moment,
@@ -23,6 +26,7 @@ from betabern import (
     parse_context,
     parse_term,
     reify,
+    semantics,
     term_from_bernstein,
     to_bernstein,
 )
@@ -31,13 +35,14 @@ from betabern.poly import PolyError, format_poly, monomial, parse_poly
 from betabern.semantics import (
     bernstein_expand,
     functional_eq,
+    functional_eq_sampled,
     indicator_args,
     random_poly_args,
     standard_formals,
     zero_args,
 )
 from betabern.terms import TermError
-from termgen import gen_term
+from termgen import gen_term, rewrite_chain
 
 F = Fraction
 
@@ -539,3 +544,122 @@ class TestOracle:
     def test_monomial_helper(self):
         assert monomial({"a": 2, "b": 0}) == parse_poly("a^2")
         assert monomial({}) == Poly.const(1)
+
+
+def scale_ratios(t, factor: int, bump: int = 0):
+    """``t`` with every ratio choice's weights times ``factor`` (the same
+    meaning); ``bump`` is added to the right weight of the first one."""
+    if isinstance(t, RatioChoice):
+        right = t.j * factor + bump
+        return RatioChoice(t.i * factor, right, scale_ratios(t.left, factor),
+                           scale_ratios(t.right, factor))
+    if isinstance(t, ParamChoice):
+        return ParamChoice(t.param, scale_ratios(t.left, factor, bump),
+                           scale_ratios(t.right, factor))
+    if isinstance(t, Nu):
+        return Nu(t.i, t.j, t.param, scale_ratios(t.body, factor, bump))
+    return t
+
+
+class TestSampledOracle:
+    """The sampled oracle over a random prime field."""
+
+    def test_weight_past_any_fixed_modulus_is_not_equal(self):
+        # 2^61 = 1 mod 2^61 - 1, so over that fixed field both weigh 1 : 1
+        ctx = parse_context("params: - ; vars: y:0, z:0")
+        t = parse_term("rch[1,1](y, z)", ctx)
+        u = parse_term(f"rch[1,{1 << 61}](y, z)", ctx)
+        for seed in range(100):
+            assert not functional_eq_sampled(ctx, t, u, random.Random(seed)), seed
+
+    @pytest.mark.parametrize("i, j", [(1, 1), (2, 3), (5, 2)])
+    def test_conjugacy_in_the_field(self, i, j):
+        # Conj: a choice on a Beta(i, j) parameter is the ratio i : j between
+        # the two updated binders, which only the right moments E[q^e] see
+        ctx = parse_context("params: - ; vars: x:1, y:0")
+        t = parse_term(f"nu[{i},{j}]q.pch[q](x(q), y)", ctx)
+        same = parse_term(f"rch[{i},{j}](nu[{i + 1},{j}]q.x(q), nu[{i},{j + 1}]q.y)", ctx)
+        other = parse_term(f"rch[{i},{j}](nu[{i},{j + 1}]q.x(q), nu[{i + 1},{j}]q.y)", ctx)
+        for seed in range(5):
+            assert functional_eq_sampled(ctx, t, same, random.Random(seed))
+            assert not functional_eq_sampled(ctx, t, other, random.Random(seed))
+
+    @pytest.mark.parametrize("kind", ["ratio total", "beta moment"])
+    def test_redraws_a_prime_that_divides_a_denominator(self, monkeypatch, kind):
+        prime = (1 << 61) - 1
+        real = semantics._random_prime
+        drawn = []
+
+        def forced(rng):
+            drawn.append(real(rng) if drawn else prime)
+            return drawn[-1]
+
+        monkeypatch.setattr(semantics, "_random_prime", forced)
+        ctx = parse_context("params: p ; vars: x:1, z:0")
+        if kind == "ratio total":  # i + j = prime
+            t = f"rch[1,{prime - 1}](nu[1,1]q.x(q), pch[p](z, x(p)))"
+            same = f"rch[3,{3 * prime - 3}](nu[1,1]q.x(q), pch[p](z, x(p)))"
+            other = f"rch[1,{prime}](nu[1,1]q.x(q), pch[p](z, x(p)))"
+        else:  # i + j + 1 = prime divides the denominator of E[q^2]
+            t = f"nu[1,{prime - 2}]q.pch[p](x(q), z)"
+            same = f"nu[1,{prime - 2}]q.rch[2,5](pch[p](x(q), z), pch[p](x(q), z))"
+            other = f"nu[1,{prime - 1}]q.pch[p](x(q), z)"
+        for text, want in ((same, True), (other, False)):
+            lhs, rhs = parse_term(t, ctx), parse_term(text, ctx)
+            drawn.clear()
+            assert functional_eq_sampled(ctx, lhs, rhs, random.Random(3), degree=2) is want
+            assert drawn[0] == prime and len(drawn) == 2
+            assert functional_eq(ctx, lhs, rhs, degree=2) is want
+
+    @pytest.mark.parametrize("degree", [None, 3])
+    def test_consumes_the_callers_draws_only(self, degree):
+        ctx = parse_context("params: p ; vars: x:2, y:1, z:0")
+        t = parse_term("nu[2,1]q.pch[p](x(q,p), rch[1,2](y(q), z))", ctx)
+        u = parse_term("nu[2,1]q.pch[q](x(q,p), y(p))", ctx)
+        per_axis = 1 + (degree or 3)  # the default is the level 2 + 1
+        for seed in range(5):
+            rng, twin = random.Random(seed), random.Random(seed)
+            functional_eq_sampled(ctx, t, u, rng, degree)
+            for _, arity in ctx.vars:  # the draws of random_poly_args
+                for _ in range(per_axis ** arity):
+                    twin.randrange(1, 1 << 30)
+            assert rng.getstate() == twin.getstate()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from(["rewrite", "independent", "bumped"]),
+           st.integers(2**62, 2**80))
+    def test_agrees_with_the_exact_sweep(self, seed, kind, factor):
+        ctx = parse_context("params: p, q ; vars: x:2, y:1, z:0")
+        rng = random.Random(seed)
+        t = gen_term(rng, ctx, 10, weight_max=3)
+        if kind == "rewrite":
+            u = scale_ratios(rewrite_chain(rng, ctx, t, rng.randint(1, 6)), factor + 1)
+        elif kind == "independent":
+            u = scale_ratios(gen_term(rng, ctx, 10, weight_max=3), factor)
+        else:
+            u = scale_ratios(t, factor, bump=1)
+        t = scale_ratios(t, factor)
+        assert functional_eq_sampled(ctx, t, u, rng) == functional_eq(ctx, t, u)
+
+    def test_ratio_weights_are_cached_per_walk(self):
+        # weights are unbounded input: they live as long as one walk, and no
+        # module-level cache grows with them
+        caches = [f for f in vars(semantics).values() if hasattr(f, "cache_info")]
+        before = [f.cache_info().currsize for f in caches]
+        ctx = parse_context("params: - ; vars: y:0, z:0")
+        walk = semantics._Walk()
+        for i in range(1, 10_001):
+            assert walk.ratio(i, i + 1) == (Fraction(i, 2 * i + 1), Fraction(i + 1, 2 * i + 1))
+        assert len(walk.weights) == 10_000
+        for i in range(1, 201):
+            t = parse_term(f"rch[{i},{i + 1}](y, z)", ctx)
+            assert functional_eq_sampled(ctx, t, t, random.Random(i))
+        assert [f.cache_info().currsize for f in caches] == before
+
+    def test_miller_rabin_is_exact(self):
+        for n in range(3, 20_000, 2):
+            assert semantics._is_prime(n) == all(n % d for d in range(3, int(n ** 0.5) + 1, 2)), n
+        assert semantics._is_prime((1 << 61) - 1)
+        # strong pseudoprimes to the prime bases up to 23, and a 62-bit semiprime
+        assert not semantics._is_prime(3825123056546413051)
+        assert not semantics._is_prime(((1 << 31) - 1) * 2147483659)
