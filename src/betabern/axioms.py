@@ -27,12 +27,14 @@ from dataclasses import dataclass, field, replace
 
 from .terms import (
     MAX_NUMERAL_DIGITS,
+    _IDENT_RE,
     Context,
     Nu,
     ParamChoice,
     Path,
     RatioChoice,
     Term,
+    TermError,
     all_params,
     alpha_eq,
     check_wellformed,
@@ -300,7 +302,7 @@ def apply_axiom(t: Term, step: RewriteStep) -> Term:
         raise AxiomError(f"unknown direction {step.direction!r}")
     try:
         target = subterm_at(t, step.path)
-    except Exception as e:
+    except TermError as e:
         raise AxiomError(f"bad path {format_path(step.path)}: {e}") from None
     new = _APPLIERS[step.axiom][step.direction == "rl"](target, step.inst)
     return replace_at(t, step.path, new)
@@ -464,12 +466,13 @@ def parse_derivation(text: str, ctx: Context) -> list:
             continue
         try:
             steps.append(_parse_step_line(line, ctx))
-        except Exception as e:
+        except (AxiomError, TermError) as e:
             raise AxiomError(f"derivation line {lineno}: {e}") from None
     return steps
 
 
 _STEP_TOKEN_RE = re.compile(r"(?:[^\s']|'[^']*')+")  # quotes keep their spaces
+_NUMERAL_RE = re.compile(r"-?[0-9]+")  # ASCII only, unlike str.isdigit
 
 
 def _split_tokens(line: str) -> list[str]:
@@ -495,14 +498,17 @@ def _parse_step_line(line: str, ctx: Context):
         key, value = tok.split("=", 1)
         if value.startswith("'") and value.endswith("'"):
             inst[key] = parse_term(value[1:-1], ctx)
-        elif value.lstrip("-").isdigit():
+        elif _NUMERAL_RE.fullmatch(value):
             digits = len(value.lstrip("-"))
             if digits > MAX_NUMERAL_DIGITS:
                 raise AxiomError(f"field {key!r}: numeral of {digits} digits exceeds "
                                  f"the limit of {MAX_NUMERAL_DIGITS}")
             inst[key] = int(value)
-        else:
+        elif _IDENT_RE.match(value):
             inst[key] = value
+        else:
+            raise AxiomError(f"field {key!r}: expected a numeral, a name or a quoted "
+                             f"term, got {value!r}")
     if name in MACRO_NAMES:
         return MacroStep(name, direction, path, inst)
     if name in AXIOM_NAMES:

@@ -14,15 +14,17 @@ forms, a linear-independence check for chain functionals, and the inverse
 direction: synthesizing a term from a nonnegative Bernstein coefficient
 table.
 
-Two oracles compare denotations.  :func:`functional_eq` sweeps every
-monomial argument exactly over the rationals and carries the completeness
-argument.  :func:`functional_eq_sampled` is a Schwartz-Zippel test over
-GF(p) for a uniform random prime p in [2^61, 2^62), drawn afresh (with new
-points and coefficients) whenever p divides a denominator ``i+j`` or
-``i+j+s``.  Reduction mod p is a ring homomorphism on the rationals with
-p-free denominators, so equal terms are never reported unequal; a
-difference is missed with probability below the 1/(2^30-1) of one draw
-over the rationals (the bound is stated at the function).
+Both oracles and :func:`interpret` share one evaluator, ``_Walk``, over a
+post-order list of the shared nodes; a value is one int denominator and an
+int numerator per monomial.  :func:`functional_eq` sweeps every monomial
+argument exactly, in one tagged walk per variable, and carries the
+completeness argument.  :func:`functional_eq_sampled` is a Schwartz-Zippel
+test over GF(p) for a uniform random prime p in [2^61, 2^62), drawn afresh
+(with new points and coefficients) whenever p divides a denominator
+``i+j`` or ``i+j+s``.  Reduction mod p is a ring homomorphism on the
+rationals with p-free denominators, so equal terms are never reported
+unequal; a difference is missed with probability below the 1/(2^30-1) of
+one draw over the rationals (the bound is stated at the function).
 """
 
 from __future__ import annotations
@@ -57,15 +59,8 @@ def beta_moment(hyper: tuple[int, int], a: int, c: int = 0) -> Fraction:
         raise TermError(f"beta hyperparameters must be positive, got ({i},{j})")
     if a < 0 or c < 0:
         raise TermError("moment exponents must be nonnegative")
-    num = 1
-    for s in range(a):
-        num *= i + s
-    for s in range(c):
-        num *= j + s
-    den = 1
-    for s in range(a + c):
-        den *= i + j + s
-    return Fraction(num, den)
+    return Fraction(prod(range(i, i + a)) * prod(range(j, j + c)),
+                    prod(range(i + j, i + j + a + c)))
 
 
 # ---------------------------------------------------------------------------
@@ -96,15 +91,8 @@ def elevate(coeffs) -> list[Fraction]:
     k = len(coeffs) - 1
     if k < 0:
         raise PolyError("empty coefficient vector")
-    out = []
-    for s in range(k + 2):
-        value = Fraction(0)
-        if s <= k:
-            value += coeffs[s] * Fraction(k + 1 - s, k + 1)
-        if s >= 1:
-            value += coeffs[s - 1] * Fraction(s, k + 1)
-        out.append(value)
-    return out
+    padded = [Fraction(0)] + coeffs + [Fraction(0)]
+    return [(padded[s] * s + padded[s + 1] * (k + 1 - s)) / (k + 1) for s in range(k + 2)]
 
 
 def to_bernstein(p: Poly, k: int, params: tuple[str, ...]):
@@ -124,17 +112,10 @@ def to_bernstein(p: Poly, k: int, params: tuple[str, ...]):
     table = {index: Fraction(0)
              for index in itertools.product(range(k + 1), repeat=len(params))}
     for exps, coeff in p.terms.items():
-        es = [0 if pos is None else exps[pos] for pos in positions]
-        axes = []
-        for e in es:
-            axes.append([(i, Fraction(comb(k - i, e), comb(k, e)))
-                         for i in range(k - e + 1)])
+        axes = [[(i, Fraction(comb(k - i, e), comb(k, e))) for i in range(k - e + 1)]
+                for e in (0 if pos is None else exps[pos] for pos in positions)]
         for combo in itertools.product(*axes):
-            index = tuple(i for i, _ in combo)
-            factor = coeff
-            for _, f in combo:
-                factor *= f
-            table[index] += factor
+            table[tuple(i for i, _ in combo)] += coeff * prod(f for _, f in combo)
     nonnegative = all(c >= 0 for c in table.values())
     return table, nonnegative
 
@@ -192,24 +173,25 @@ def interpret(ctx: Context, t: Term, args: dict[str, FuncArg]) -> Poly:
     _check_args(ctx, args)
     walk = _Walk()
     walk.load(args)
-    value = walk.run(_postorder(t))[id(t)]
+    (den, nums), = walk.run(_postorder(t), t)
     names = tuple(walk.slots)
     shifts = tuple(walk.slots.values())
-    return Poly.make(names, {tuple(m >> s & _SLOT_MASK for s in shifts): c
-                             for m, c in value.items()})
+    return Poly.make(names, {tuple(m >> s & _SLOT_MASK for s in shifts): Fraction(c, den)
+                             for m, c in nums.items()})
 
 
-# A value is a dict from a packed monomial to a nonzero coefficient: the
-# exponent of the parameter in slot s sits in bits [64s, 64s+64), and slots
-# are handed out by name on first use.  An exponent is at most the arity
-# times an argument exponent (below 2^32) plus the choices on one path, so
-# it never spills into the next slot.  Over the rationals every parameter
-# has a slot and coefficients are Fractions.  Over GF(p) a free parameter
-# takes its point instead, and coefficients are ints in 1..p-1.  Values are
-# never mutated once stored, so an operation may return an operand.
+# A value is ``(den, nums)``, the polynomial with coefficient nums[m] / den
+# at packed monomial m; nums holds no zeros.  Slot s >= 1 of a monomial,
+# bits [64s, 64s+64), holds the exponent of the parameter that got slot s
+# on first use; an exponent is at most the arity times an argument exponent
+# (below 2^32) plus the choices on one path, so it never spills over.  Slot
+# 0 holds the sweep's tag (see functional_eq).  Over GF(p) a free parameter
+# takes its point and den is 1.  Values are never mutated once stored, so
+# an operation may return an operand.
 
 _SLOT_BITS = 64
 _SLOT_MASK = (1 << _SLOT_BITS) - 1
+_ZERO = (1, {})
 
 
 class _Redraw(Exception):
@@ -230,46 +212,39 @@ class _Walk:
         # per free parameter the powers x^0, x^1, ... of its point, grown on use
         self.powers = {name: [1, x] for name, x in (points or {}).items()}
         self.slots: dict[str, int] = {}
-        self.weights: dict[tuple[int, int], tuple] = {}
-        self.moments: dict[tuple[int, int], list] = {}
-        self.args: dict[str, tuple[int, int, list]] = {}
-        self.apps: dict[tuple, dict] = {}
+        self.weights: dict[tuple[int, int], tuple[int, int, int]] = {}
+        self.moments: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        self.args: dict[str, tuple] = {}
+        self.apps: dict[tuple, tuple] = {}
 
     def load(self, args: dict[str, FuncArg], coeff=None) -> None:
-        """Take new arguments, kept per variable as its arity, its largest
-        exponent and ``(exponents over the formals, coeff(coefficient))``
-        pairs."""
+        """Take new arguments, kept per variable as its arity, the positions
+        of the formals its polynomial uses, its largest exponent, its common
+        denominator and ``(exponents, tag 0, numerator)`` triples; ``coeff``
+        maps each coefficient to its numerator over 1 instead."""
         self.args, self.apps = {}, {}
         for var, arg in args.items():
-            if not arg.poly.terms:
-                self.args[var] = (len(arg.formals), 0, [])
-                continue
-            where = [arg.formals.index(v) for v in arg.poly.vars]
-            spread = where != list(range(len(arg.formals)))
-            top = max((max(exps, default=0) for exps in arg.poly.terms), default=0)
+            terms = arg.poly.terms
+            top = max((max(exps, default=0) for exps in terms), default=0)
             if top >> 32:
                 raise PolyError(f"argument for {var!r} has an exponent past 2^32")
-            terms = []
-            for exps, c in arg.poly.terms.items():
-                if spread:
-                    full = [0] * len(arg.formals)
-                    for e, i in zip(exps, where):
-                        full[i] = e
-                    exps = full
-                terms.append((exps, c if coeff is None else coeff(c)))
-            self.args[var] = (len(arg.formals), top, terms)
+            den = 1 if coeff else lcm(*(c.denominator for c in terms.values()))
+            nums = [(exps, 0, coeff(c) if coeff else c.numerator * (den // c.denominator))
+                    for exps, c in terms.items()]
+            where = [arg.formals.index(v) for v in arg.poly.vars]
+            self.args[var] = (len(arg.formals), where, top, den, nums)
 
     def slot(self, name: str) -> int:
         shift = self.slots.get(name)
-        if shift is None:
-            shift = self.slots[name] = len(self.slots) * _SLOT_BITS
+        if shift is None:  # slot 0 is the tag's
+            shift = self.slots[name] = (len(self.slots) + 1) * _SLOT_BITS
         return shift
 
-    def run(self, order: list[Term]) -> dict[int, dict]:
-        """The value of every node of ``order`` (from :func:`_postorder`),
-        by node ``id``.  A node's value ignores its surroundings, so a
-        shared subterm is evaluated once."""
-        memo: dict[int, dict] = {}
+    def run(self, order: list[Term], *roots: Term) -> list[tuple]:
+        """The values of ``roots``, from one pass over the nodes under them
+        in ``order`` (from :func:`_postorder`).  A node's value ignores its
+        surroundings, so a shared subterm is evaluated once."""
+        memo: dict[int, tuple] = {}
         for node in order:
             kind = type(node)
             if kind is VarApp:
@@ -278,25 +253,27 @@ class _Walk:
                 memo[id(node)] = self.integrate(node, memo[id(node.body)])
             else:
                 memo[id(node)] = self.choose(node, memo[id(node.left)], memo[id(node.right)])
-        return memo
+        return [memo[id(root)] for root in roots]
 
-    def apply(self, node: VarApp) -> dict:
+    def apply(self, node: VarApp) -> tuple:
         key = (node.var, node.args)
-        out = self.apps.get(key)
-        if out is None:
+        value = self.apps.get(key)
+        if value is None:
             if node.var not in self.args:
                 raise TermError(f"no argument for variable {node.var!r}")
-            arity, top, terms = self.args[node.var]
+            arity, where, top, den, terms = self.args[node.var]
             if arity != len(node.args):
                 raise TermError(f"arity mismatch at {node}")
-            out = self.apps[key] = {}
             if not terms:  # a zero argument
-                return out
+                return _ZERO
+            out: dict[int, int] = {}
+            value = self.apps[key] = (den, out)
             p = self.p
-            # per position: the slot of a symbolic parameter, or the powers
-            # of a free parameter's point up to the largest exponent
+            # per position used: the slot of a symbolic parameter, or the
+            # powers of a free parameter's point up to the largest exponent
             plan = []
-            for a in node.args:
+            for i in where:
+                a = node.args[i]
                 row = self.powers.get(a)
                 if row is None:
                     plan.append((self.slot(a), None))
@@ -304,8 +281,7 @@ class _Walk:
                 while len(row) <= top:
                     row.append(row[-1] * row[1] % p)
                 plan.append((0, row))
-            for exps, c in terms:
-                m = 0
+            for exps, m, c in terms:
                 for e, (shift, row) in zip(exps, plan):
                     if e:
                         if row is None:
@@ -313,91 +289,103 @@ class _Walk:
                         else:
                             c = c * row[e] % p
                 _add(out, m, c, p)
-        return out
+        return value
 
-    def choose(self, node, left: dict, right: dict) -> dict:
+    def choose(self, node, left: tuple, right: tuple) -> tuple:
         p = self.p
+        (dl, nl), (dr, nr) = left, right
         if type(node) is RatioChoice:
-            wl, wr = self.ratio(node.i, node.j)
+            wl, wr, wd = self.ratio(node.i, node.j)
         elif node.param in self.powers:
             wl = self.powers[node.param][1]
-            wr = (1 - wl) % p
+            wr, wd = (1 - wl) % p, 1
+        elif left == right:
+            return right
         else:  # a symbolic parameter q: right + q * (left - right)
-            if left == right:
-                return right
+            den = dl
+            if dl != dr:  # both over the lcm of their denominators
+                den = lcm(dl, dr)
+                nl, nr = _times(nl, den // dl, p), _times(nr, den // dr, p)
             unit = 1 << self.slot(node.param)
-            out = dict(right)
-            for m, v in left.items():
+            out = dict(nr)
+            for m, v in nl.items():
                 _add(out, m + unit, v, p)
-            for m, v in right.items():
+            for m, v in nr.items():
                 _add(out, m + unit, -v, p)
-            return out
-        if not right or not wr:
-            return self.scaled(left, wl)
-        if not left or not wl:
-            return self.scaled(right, wr)
-        out = self.scaled(left, wl)
-        for m, v in right.items():
+            return den, out
+        # left * wl / wd + right * wr / wd
+        if not (nr and wr):
+            if not (nl and wl):
+                return _ZERO
+            return left if wl == wd else (dl * wd, _times(nl, wl, p))
+        if not (nl and wl):
+            return right if wr == wd else (dr * wd, _times(nr, wr, p))
+        den = dl
+        if dl != dr:  # both over the lcm of their denominators
+            den = lcm(dl, dr)
+            wl, wr = wl * (den // dl), wr * (den // dr)
+        out = _times(nl, wl, p)
+        for m, v in nr.items():
             _add(out, m, v * wr, p)
-        return out
+        return den * wd, out
 
-    def scaled(self, value: dict, w) -> dict:
-        if not value or not w:
-            return {}
-        if self.p:
-            return {m: v * w % self.p for m, v in value.items()}
-        return {m: v * w for m, v in value.items()}
-
-    def ratio(self, i: int, j: int) -> tuple:
-        if i + j == 0:
-            raise TermError("ratio choice needs total weight i+j > 0")
+    def ratio(self, i: int, j: int) -> tuple[int, int, int]:
+        """The weights ``(wl, wr, wd)`` of a ratio choice ``i : j``: over the
+        rationals i, j, i+j in lowest terms, over GF(p) i/(i+j), j/(i+j), 1."""
         w = self.weights.get((i, j))
         if w is None:
+            if i + j == 0:
+                raise TermError("ratio choice needs total weight i+j > 0")
             p = self.p
             if not p:
-                w = Fraction(i, i + j), Fraction(j, i + j)
+                g = gcd(i, j)
+                w = i // g, j // g, (i + j) // g
             elif (i + j) % p:
                 inv = pow(i + j, -1, p)
-                w = i * inv % p, j * inv % p
+                w = i * inv % p, j * inv % p, 1
             else:
                 raise _Redraw
             self.weights[(i, j)] = w
         return w
 
-    def integrate(self, node: Nu, body: dict) -> dict:
-        moments = self.beta_moments(node.i, node.j, 0)
+    def integrate(self, node: Nu, body: tuple) -> tuple:
+        den, nums = body
         shift = self.slots.get(node.param)
-        if shift is None:  # the parameter occurs nowhere yet
+        exps = [m >> shift & _SLOT_MASK for m in nums] if shift else None
+        top = max(exps) if exps else 0
+        moments = self.beta_moments(node.i, node.j, top)
+        if not top:  # the parameter occurs nowhere in the body
             return body
-        p = self.p
-        out: dict = {}
-        for m, v in body.items():
-            e = m >> shift & _SLOT_MASK
-            if e:
-                if len(moments) <= e:
-                    moments = self.beta_moments(node.i, node.j, e)
-                m -= e << shift
-                v *= moments[e]
-            _add(out, m, v, p)
-        return out
+        p = self.p  # over GF(p) every moment is over 1; else over their lcm
+        scale = 1 if p else lcm(*{moments[e][1] for e in exps})
+        out: dict[int, int] = {}
+        for (m, v), e in zip(nums.items(), exps):
+            num, d = moments[e]
+            _add(out, m - (e << shift), v * num * (scale // d), p)
+        return den * scale, out
 
-    def beta_moments(self, i: int, j: int, e: int) -> list:
-        """E[q^0..q^e] (at least) under Beta(i, j), as
-        prod_{s<e} (i+s)/(i+j+s)."""
+    def beta_moments(self, i: int, j: int, top: int) -> list[tuple[int, int]]:
+        """E[q^0..q^top] (at least) under Beta(i, j), E[q^e] =
+        prod_{s<e} (i+s)/(i+j+s) as ``(num, den)`` in lowest terms; over
+        GF(p) as a residue over 1."""
         moments = self.moments.get((i, j))
         if moments is None:
             if i < 1 or j < 1:
                 raise TermError(f"beta hyperparameters must be positive, got ({i},{j})")
-            moments = self.moments[(i, j)] = [1]
+            moments = self.moments[(i, j)] = [(1, 1)]
         p = self.p
-        while len(moments) <= e:
+        while len(moments) <= top:
             s = len(moments) - 1
+            num, den = moments[-1]
+            num, den = num * (i + s), den * (i + j + s)
             if not p:
-                moments.append(moments[-1] * Fraction(i + s, i + j + s))
-            elif (i + j + s) % p:
-                moments.append(moments[-1] * (i + s) * pow(i + j + s, -1, p) % p)
+                g = gcd(num, den)
+                num, den = num // g, den // g
+            elif den % p:
+                num, den = num * pow(den, -1, p) % p, 1
             else:
                 raise _Redraw
+            moments.append((num, den))
         return moments
 
 
@@ -442,6 +430,21 @@ def _add(out: dict, m: int, v, p: int) -> None:
         out.pop(m, None)
 
 
+def _times(nums: dict, w: int, p: int) -> dict:
+    """``nums`` times ``w`` (mod ``p`` if nonzero) as a new dict; w is not 0."""
+    if p:
+        return {m: v * w % p for m, v in nums.items()}
+    return {m: v * w for m, v in nums.items()}
+
+
+def _same(a: tuple, b: tuple) -> bool:
+    """Whether two values are the same polynomial."""
+    (da, na), (db, nb) = a, b
+    if da == db:
+        return na == nb
+    return na.keys() == nb.keys() and all(v * db == nb[m] * da for m, v in na.items())
+
+
 def zero_args(ctx: Context) -> dict[str, FuncArg]:
     return {name: FuncArg(standard_formals(m), Poly.zero()) for name, m in ctx.vars}
 
@@ -474,10 +477,7 @@ def chain_functional(ctx: Context, chain: Chain, arg: FuncArg) -> Poly:
     actuals = tuple(
         ctx.params[idx - 1] if tag == "F" else f"{_BOUND_PREFIX}{idx}"
         for tag, idx in chain.argmap)
-    if actuals:
-        value = arg.poly.compose_monomials(arg.formals, actuals)
-    else:
-        value = arg.poly
+    value = arg.poly.compose_monomials(arg.formals, actuals) if actuals else arg.poly
     for b, hyper in enumerate(chain.binders, start=1):
         value = value.integrate_out(f"{_BOUND_PREFIX}{b}",
                                     lambda e, h=hyper: beta_moment(h, e))
@@ -525,11 +525,7 @@ def _rational_rank(rows: list[list[Fraction]]) -> int:
     n_rows, n_cols = len(m), len(m[0])
     rank = 0
     for col in range(n_cols):
-        pivot = None
-        for r in range(rank, n_rows):
-            if m[r][col]:
-                pivot = r
-                break
+        pivot = next((r for r in range(rank, n_rows) if m[r][col]), None)
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
@@ -614,9 +610,7 @@ def term_from_bernstein(ctx: Context, k: int, coeffs) -> Term:
             raise TermError(f"negative coefficient at leaf {index}")
         if sum(vec) != 1:
             raise TermError(f"leaf {index} weights sum to {sum(vec)}, expected 1")
-        denom = 1
-        for c in vec:
-            denom = lcm(denom, c.denominator)
+        denom = lcm(*(c.denominator for c in vec))
         ints = [int(c * denom) for c in vec]
         leaves[index] = multichoice(
             [(w, VarApp(name)) for w, name in zip(ints, names) if w])
@@ -631,10 +625,15 @@ def term_from_bernstein(ctx: Context, k: int, coeffs) -> Term:
 # single monomial in one variable and zero elsewhere.  Distinct chains at
 # level n are separated by per-coordinate moments of degree about n, so the
 # sweep degree defaults to max(2, max binder level); free parameters stay
-# symbolic throughout.  Each argument vector gets a fresh memo, shared by
-# both terms since a node's value depends only on the arguments.  Every
-# value is free of zero coefficients, so ``!=`` compares the two
-# polynomials in the free parameters exactly.
+# symbolic throughout.
+#
+# One walk per variable covers all of its monomials: the variable gets
+# their sum, monomial number e tagged e in slot 0 of the packed key, and
+# the others get zero.  Every step after the application is linear in the
+# argument and leaves slot 0 alone, so the tag-e part of a value is its
+# value on monomial e, and the two tagged values are equal iff the terms
+# agree on every monomial argument of the variable.  Values are exact
+# ``(den, numerators)`` pairs, compared by cross-multiplying (:func:`_same`).
 
 
 def _sweep_degree(order: list[Term]) -> int:
@@ -649,14 +648,12 @@ def functional_eq(ctx: Context, t: Term, u: Term, degree: int | None = None) -> 
         degree = _sweep_degree(order)
     walk = _Walk()
     for var, arity in ctx.vars:
-        formals = standard_formals(arity)
-        for exps in itertools.product(range(degree + 1), repeat=arity):
-            args = zero_args(ctx)
-            args[var] = FuncArg(formals, monomial(dict(zip(formals, exps))))
-            walk.load(args)
-            memo = walk.run(order)
-            if memo[id(t)] != memo[id(u)]:
-                return False
+        walk.load(zero_args(ctx))
+        monomials = itertools.product(range(degree + 1), repeat=arity)
+        walk.args[var] = (arity, range(arity), degree, 1,
+                          [(exps, e, 1) for e, exps in enumerate(monomials)])
+        if not _same(*walk.run(order, t, u)):
+            return False
     return True
 
 
@@ -719,10 +716,10 @@ def functional_eq_sampled(ctx: Context, t: Term, u: Term, rng,
         walk = _Walk(p, {name: child.getrandbits(61) for name in ctx.params})
         walk.load(args, lambda c: (c.numerator + child.getrandbits(61)) % p)
         try:
-            memo = walk.run(order)
+            values = walk.run(order, t, u)
         except _Redraw:
             continue
-        return memo[id(t)] == memo[id(u)]
+        return _same(*values)
 
 
 # ---------------------------------------------------------------------------

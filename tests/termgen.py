@@ -15,8 +15,18 @@ from betabern import (
     Term,
     VarApp,
     apply_axiom,
+    parse_context,
 )
 from betabern.terms import subterm_at
+
+# Contexts that randomized tests draw terms over: ground variables only,
+# one parameter with a unary variable, and two parameters with mixed
+# arities.
+CONTEXTS = tuple(parse_context(text) for text in (
+    "params: - ; vars: y:0, z:0, w:0",
+    "params: p ; vars: x:1, y:0",
+    "params: p, q ; vars: x:2, y:0, z:1",
+))
 
 
 def term_size(t: Term) -> int:

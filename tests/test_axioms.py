@@ -22,6 +22,7 @@ from betabern import (
     parse_derivation,
     parse_term,
 )
+from betabern import axioms
 from betabern.axioms import expand_scale
 from betabern.papersuite import (
     derivation_nested_binder,
@@ -477,3 +478,26 @@ class TestDerivationFiles:
         assert out == parse_term("rch[2,0](y, rch[1,1](y,z))", ctx)
         with pytest.raises(AxiomError, match="line 1"):
             parse_derivation("Bogus lr path=.", ctx)
+
+    @pytest.mark.parametrize("value", ["\u0661\u0662", "\u00b2", "+2", "1.5", "p-q", ""])
+    def test_fields_are_numerals_names_or_terms(self, value):
+        # Arabic-Indic 12 and a superscript 2 pass str.isdigit, not [0-9]
+        ctx = parse_context("params: - ; vars: y:0, z:0")
+        with pytest.raises(AxiomError) as err:
+            parse_derivation(f"Scale rl path=. k={value}", ctx)
+        assert str(err.value) == ("derivation line 1: field 'k': expected a numeral, "
+                                  f"a name or a quoted term, got {value!r}")
+        assert parse_derivation("D2 rl path=. p=q_1 k=-12", ctx)[0].inst == {"p": "q_1", "k": -12}
+
+    def test_internal_faults_are_not_input_errors(self, monkeypatch):
+        ctx = parse_context("params: - ; vars: y:0, z:0")
+
+        def broken(*args):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(axioms, "_parse_step_line", broken)
+        with pytest.raises(KeyError):
+            parse_derivation("ConvexSymm lr path=.", ctx)
+        monkeypatch.setattr(axioms, "subterm_at", broken)
+        with pytest.raises(KeyError):
+            apply_axiom(VarApp("y"), RewriteStep("ConvexSymm", "lr", ("l",)))

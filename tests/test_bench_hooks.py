@@ -63,8 +63,9 @@ def test_tracer_wraps_every_traced_function():
     out = json.loads(proc.stdout.splitlines()[-1])
     assert out["verdicts"] == [True, True]
     assert SPANS <= set(out["spans"]), SPANS - set(out["spans"])
-    # the sweep makes one argument vector per monomial: y^0 and z^0 at
-    # arity 0; the sampled check builds its arguments through Poly.make
+    # the sweep takes one zero argument vector per variable, y and z, and
+    # tags that variable's monomials into it; the sampled check builds its
+    # arguments through Poly.make
     assert out["counts"]["semantics.sweep.args"] == 2
     assert out["counts"]["poly.make.calls"] >= 2
     # two estimates and the one inside compare

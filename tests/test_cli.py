@@ -220,6 +220,17 @@ class TestLongNumerals:
         assert err == ("error: derivation line 1: field 'k': numeral of 4301 digits "
                        "exceeds the limit of 4300\n")
 
+    @pytest.mark.parametrize("value", ["\u0661\u0662", "\u00b2"])
+    def test_non_ascii_derivation_numeral_exits_65(self, capsys, tmp_path, value):
+        steps = tmp_path / "steps.txt"
+        steps.write_text(f"Scale rl path=. k={value}\n", encoding="utf-8")
+        code, _, err = run(capsys, "replay", "--context", YZ, "--start", "rch[1,2](y,z)",
+                           "--end", "rch[1,2](y,z)", "--steps", str(steps), "--no-banner")
+        assert code == EX_DATAERR
+        assert err.startswith("error: derivation line 1: field 'k': expected a numeral, "
+                              "a name or a quoted term, got ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_numeral_at_the_limit_accepted(self, capsys):
         term = f"rch[{'1' * 4300},1](y, z)"
         code, out, _ = run(capsys, "check", "--context", YZ, "-t", term, "--no-banner")

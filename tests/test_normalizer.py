@@ -3,6 +3,7 @@
 import json
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -35,14 +36,9 @@ from betabern.semantics import functional_eq, functional_eq_sampled
 from betabern.terms import TermError, check_wellformed, free_params
 from refnorm import chain_distribution, collect_chains, stratify
 from refnorm import push_nu_to_leaves as reference_push
-from termgen import gen_term, rewrite_chain
+from termgen import CONTEXTS, gen_term, rewrite_chain
 
 YZ = parse_context("params: - ; vars: y:0, z:0")
-CONTEXTS = [parse_context(text) for text in (
-    "params: - ; vars: y:0, z:0, w:0",
-    "params: p ; vars: x:1, y:0",
-    "params: p, q ; vars: x:2, y:0, z:1",
-)]
 
 
 def nu_free(t):
@@ -533,3 +529,18 @@ class TestSerialization:
         nf = normalize(YZ, parse_term("rch[1,2](y, z)", YZ))
         text = format_normal_form(nf)
         assert "k: 0" in text and "rch[1,2](y, z)" in text
+
+
+class TestLargeTerms:
+    def test_normal_forms_keep_their_meaning(self):
+        """200 terms of 50-200 nodes over the three contexts: the exact sweep
+        finds every reified normal form equal to its term, within 20 s."""
+        started = time.time()
+        rng = random.Random(0x51E)
+        for n in range(200):
+            ctx = CONTEXTS[n % len(CONTEXTS)]
+            t = gen_term(rng, ctx, rng.randint(50, 200), weight_max=4)
+            assert functional_eq(ctx, t, reify(normalize(ctx, t))), n
+        elapsed = time.time() - started
+        print(f"200 terms of 50-200 nodes keep their meaning ({elapsed:.1f}s / budget 20s)")
+        assert elapsed < 20.0, "the large-term sweep exceeded its 20s budget"

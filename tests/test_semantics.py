@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import refsem
 from betabern import (
     Chain,
     FuncArg,
@@ -41,8 +42,8 @@ from betabern.semantics import (
     standard_formals,
     zero_args,
 )
-from betabern.terms import TermError
-from termgen import gen_term, rewrite_chain
+from betabern.terms import TermError, VarApp
+from termgen import CONTEXTS, gen_term, rewrite_chain
 
 F = Fraction
 
@@ -649,7 +650,7 @@ class TestSampledOracle:
         ctx = parse_context("params: - ; vars: y:0, z:0")
         walk = semantics._Walk()
         for i in range(1, 10_001):
-            assert walk.ratio(i, i + 1) == (Fraction(i, 2 * i + 1), Fraction(i + 1, 2 * i + 1))
+            assert walk.ratio(i, i + 1) == (i, i + 1, 2 * i + 1)
         assert len(walk.weights) == 10_000
         for i in range(1, 201):
             t = parse_term(f"rch[{i},{i + 1}](y, z)", ctx)
@@ -663,3 +664,93 @@ class TestSampledOracle:
         # strong pseudoprimes to the prime bases up to 23, and a 62-bit semiprime
         assert not semantics._is_prime(3825123056546413051)
         assert not semantics._is_prime(((1 << 31) - 1) * 2147483659)
+
+
+def swap_args(t):
+    """``t`` with the arguments of every application reversed."""
+    if isinstance(t, VarApp):
+        return VarApp(t.var, t.args[::-1])
+    if isinstance(t, RatioChoice):
+        return RatioChoice(t.i, t.j, swap_args(t.left), swap_args(t.right))
+    if isinstance(t, ParamChoice):
+        return ParamChoice(t.param, swap_args(t.left), swap_args(t.right))
+    return Nu(t.i, t.j, t.param, swap_args(t.body))
+
+
+def fraction_args(rng, ctx, degree: int) -> dict:
+    """Random arguments with Fraction coefficients; some are zero and some
+    leave formals unused."""
+    args = {}
+    for var, arity in ctx.vars:
+        formals = standard_formals(arity)
+        used = [rng.random() < 0.7 for _ in formals]
+        terms = {}
+        if rng.random() < 0.9:
+            for exps in itertools.product(range(degree + 1), repeat=arity):
+                if all(u or not e for e, u in zip(exps, used)) and rng.random() < 0.6:
+                    terms[exps] = F(rng.randint(-9, 9), rng.randint(1, 12))
+        args[var] = FuncArg(formals, Poly.make(formals, terms))
+    return args
+
+
+class TestAgainstReference:
+    """The integer walk against the recursive ``Poly`` interpreter and the
+    per-monomial sweep of ``refsem``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from(CONTEXTS), st.integers(0, 9))
+    def test_interpret(self, seed, ctx, coin):
+        rng = random.Random(seed)
+        t = gen_term(rng, ctx, rng.randint(1, 40), weight_max=4)
+        if coin < 4:  # 40%: ratio weights scaled by up to 2^70
+            t = scale_ratios(t, rng.randint(2, 1 << 70))
+        args = fraction_args(rng, ctx, 3)
+        assert interpret(ctx, t, args) == refsem.interpret(t, args)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from(CONTEXTS),
+           st.sampled_from(["rewrite", "independent", "bumped", "swapped"]), st.integers(0, 9))
+    def test_sweep(self, seed, ctx, kind, coin):
+        rng = random.Random(seed)
+        t = gen_term(rng, ctx, 16, weight_max=4)
+        if kind == "rewrite":
+            u = rewrite_chain(rng, ctx, t, rng.randint(1, 6))
+        elif kind == "independent":
+            u = gen_term(rng, ctx, 16, weight_max=4)
+        elif kind == "bumped":
+            u = scale_ratios(t, 1, bump=1)
+        else:
+            u = swap_args(t)
+        if coin < 4:  # 40%: ratio weights scaled by up to 2^70, unlike factors
+            factor = rng.randint(2, 1 << 70)
+            t, u = scale_ratios(t, factor), scale_ratios(u, factor + 1)
+        want = refsem.functional_eq(ctx, t, u)
+        assert functional_eq(ctx, t, u) == want
+        assert want or kind != "rewrite"
+
+    def test_branches_with_different_denominators(self):
+        # values over 2 and over 4 * 5 (the Beta(2,3) mean) meet in choices
+        # over 3 and 2
+        ctx = parse_context("params: p ; vars: x:1, y:0")
+        a, b = "rch[1,1](x(p), y)", "nu[2,3]q.rch[1,4](x(q), y)"
+        t = parse_term(f"rch[1,2]({a}, {b})", ctx)
+        same = parse_term(f"rch[1,1](rch[2,1]({a}, {b}), {b})", ctx)
+        other = parse_term(f"rch[1,1](rch[2,1]({a}, {b}), {a})", ctx)
+        for u, want in ((same, True), (other, False)):
+            assert refsem.functional_eq(ctx, t, u) is want
+            assert functional_eq(ctx, t, u) is want
+        args = {"x": FuncArg(("r1",), parse_poly("r1^2 + 1/7", {"r1"})),
+                "y": FuncArg.constant(F(3, 5))}
+        for u in (t, same, other):
+            assert interpret(ctx, u, args) == refsem.interpret(u, args)
+        assert interpret(ctx, t, args) == interpret(ctx, same, args)
+
+    @pytest.mark.parametrize("params, binders", [("-", "nu[1,1]p.nu[1,2]q."), ("p, q", "")])
+    def test_swapped_arguments_are_told_apart(self, params, binders):
+        # r1^a r2^b and its mirror r1^b r2^a are both in the sweep, so the sum
+        # over all monomials is the same for the two terms; each one is not
+        ctx = parse_context(f"params: {params} ; vars: x:2")
+        t = parse_term(f"{binders}x(p,q)", ctx)
+        u = parse_term(f"{binders}x(q,p)", ctx)
+        assert not refsem.functional_eq(ctx, t, u)
+        assert not functional_eq(ctx, t, u)
