@@ -8,6 +8,7 @@ Two interchangeable samplers:
   smallest of i+j-1 uniforms, exact for integer hyperparameters) and flips
   that coin for every use.
 
+Both run one loop over a table of the term's nodes, compiled once per call.
 ``compare`` runs either sampler against the exact leaf distribution read
 off the term's normal form, with a Pearson chi-square test at the 0.1%
 significance level.
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .normalizer import normalize
-from .terms import Context, Nu, ParamChoice, RatioChoice, Term, TermError, VarApp, free_params
+from .terms import Context, Nu, RatioChoice, Term, TermError, VarApp, check_wellformed
 
 SIGNIFICANCE = 0.001
 MIN_EXPECTED = 5.0
@@ -68,73 +69,112 @@ chi2 = _ChiSquare()
 
 
 def check_ground(ctx: Context, t: Term) -> None:
-    """Ground closed terms: no free parameters, all variables arity 0."""
+    """Well-formed closed ground terms: the context has no parameters, so
+    none is free in the term, and every variable has arity 0."""
     if ctx.params:
         raise TermError("ground simulation needs a parameter-free context")
     for name, arity in ctx.vars:
         if arity:
             raise TermError(f"ground simulation needs arity 0, but {name}:{arity}")
-    if free_params(t):
-        raise TermError("term has free parameters")
+    bad = check_wellformed(ctx, t)
+    if bad:
+        raise TermError(f"term ill-formed: {bad[0]}")
+
+
+def _check_run(trials: int, impl: str) -> None:
+    if trials < 1:
+        raise TermError("trials must be at least 1")
+    if impl not in ("polya", "betabern"):
+        raise TermError(f"unknown implementation {impl!r}")
+
+
+def _compile(t: Term) -> tuple[list[tuple], list[str], int]:
+    """Rows ``(kind, x, y, left, right)`` of the term, root first, branches
+    as row indices; the leaf names; the number of state cells.
+
+    Kinds: 0 a leaf, ``x`` indexing the names; 1 ``rch[i,j]``, ``x, y = i,
+    i + j``; 2 ``pch[p]``, ``x, y`` the two cells of ``p``; 3 ``nu[i,j]p``,
+    ``x, y = i, j``, body at ``left``, first cell of ``p`` at ``right``.  The
+    cells hold an urn's two counts or a bias.  A well-formed term binds a
+    name once along a path, so one cell pair per name serves its binders."""
+    rows: list = [None]
+    row_of = {id(t): 0}  # a node object reached twice gets one row
+    leaves, slots = {}, {}  # variable -> leaf index, binder name -> slot
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        kids = () if isinstance(node, VarApp) else (
+            (node.body,) if isinstance(node, Nu) else (node.left, node.right))
+        for kid in kids:
+            if id(kid) not in row_of:
+                row_of[id(kid)] = len(rows)
+                rows.append(None)
+                stack.append(kid)
+        refs = [row_of[id(kid)] for kid in kids]
+        if isinstance(node, VarApp):
+            row = (0, leaves.setdefault(node.var, len(leaves)), 0, 0, 0)
+        elif isinstance(node, RatioChoice):
+            row = (1, node.i, node.i + node.j, *refs)
+        elif isinstance(node, Nu):
+            row = (3, node.i, node.j, *refs, 2 * slots.setdefault(node.param, len(slots)))
+        else:
+            cell = 2 * slots.setdefault(node.param, len(slots))
+            row = (2, cell, cell + 1, *refs)
+        rows[row_of[id(node)]] = row
+    return rows, list(leaves), 2 * len(slots)
+
+
+def _tally(t: Term, rng, trials: int, polya: bool) -> dict[str, int]:
+    """Counts of the leaves hit in ``trials`` runs.  A run calls ``rnd()`` once
+    per choice and ``i + j - 1`` times per Beta binder, in path order."""
+    rows, leaves, size = _compile(t)
+    rnd = rng.random
+    state = [0] * size
+    hits = [0] * len(leaves)
+    for _ in range(trials):
+        kind, x, y, left, right = rows[0]
+        while kind:
+            if kind == 2:
+                if not polya:
+                    kind, x, y, left, right = rows[left if rnd() < state[x] else right]
+                    continue
+                a, b = state[x], state[y]
+                if rnd() * (a + b) < a:
+                    state[x] = a + 1
+                    kind, x, y, left, right = rows[left]
+                else:
+                    state[y] = b + 1
+                    kind, x, y, left, right = rows[right]
+            elif kind == 1:
+                kind, x, y, left, right = rows[left if rnd() * y < x else right]
+            else:
+                if polya:
+                    state[right], state[right + 1] = x, y
+                elif x + y == 2:
+                    state[right] = rnd()
+                else:
+                    state[right] = sorted([rnd() for _ in range(x + y - 1)])[x - 1]
+                kind, x, y, left, right = rows[left]
+        hits[x] += 1
+    return {name: n for name, n in zip(leaves, hits) if n}
 
 
 def run_polya(t: Term, rng: random.Random) -> str:
     """One run, drawing from evolving urns; returns the leaf variable."""
-    urns: dict[str, list[int]] = {}
-    while not isinstance(t, VarApp):
-        if isinstance(t, RatioChoice):
-            t = t.left if rng.random() * (t.i + t.j) < t.i else t.right
-        elif isinstance(t, ParamChoice):
-            urn = urns[t.param]
-            if rng.random() * (urn[0] + urn[1]) < urn[0]:
-                urn[0] += 1
-                t = t.left
-            else:
-                urn[1] += 1
-                t = t.right
-        else:
-            assert isinstance(t, Nu)
-            urns[t.param] = [t.i, t.j]
-            t = t.body
-    return t.var
-
-
-def _sample_beta(i: int, j: int, rng: random.Random) -> float:
-    draws = sorted(rng.random() for _ in range(i + j - 1))
-    return draws[i - 1]
+    return next(iter(_tally(t, rng, 1, True)))
 
 
 def run_betabern(t: Term, rng: random.Random) -> str:
     """One run, sampling each binder's bias once; returns the leaf variable."""
-    bias: dict[str, float] = {}
-    while not isinstance(t, VarApp):
-        if isinstance(t, RatioChoice):
-            t = t.left if rng.random() * (t.i + t.j) < t.i else t.right
-        elif isinstance(t, ParamChoice):
-            t = t.left if rng.random() < bias[t.param] else t.right
-        else:
-            assert isinstance(t, Nu)
-            bias[t.param] = _sample_beta(t.i, t.j, rng)
-            t = t.body
-    return t.var
-
-
-_RUNNERS = {"polya": run_polya, "betabern": run_betabern}
+    return next(iter(_tally(t, rng, 1, False)))
 
 
 def estimate(ctx: Context, t: Term, trials: int, seed: int, impl: str) -> dict[str, int]:
     """Leaf counts over seeded trials; deterministic given the inputs."""
     check_ground(ctx, t)
-    if trials < 1:
-        raise TermError("trials must be at least 1")
-    if impl not in _RUNNERS:
-        raise TermError(f"unknown implementation {impl!r}")
-    run = _RUNNERS[impl]
-    rng = random.Random(seed)
-    counts = {name: 0 for name, _ in ctx.vars}
-    for _ in range(trials):
-        counts[run(t, rng)] += 1
-    return counts
+    _check_run(trials, impl)
+    hits = _tally(t, random.Random(seed), trials, impl == "polya")
+    return {name: hits.get(name, 0) for name, _ in ctx.vars}
 
 
 def exact_distribution(ctx: Context, t: Term) -> dict[str, Fraction]:
@@ -213,11 +253,10 @@ def compare_counts(counts: dict[str, int], expected: dict[str, Fraction],
 
 def compare(ctx: Context, t: Term, trials: int, seed: int, impl: str) -> TrialReport:
     """Sample the term and test the counts against its exact distribution."""
+    _check_run(trials, impl)
     expected = exact_distribution(ctx, t)
-    smallest = min((p for p in expected.values() if p), default=Fraction(1))
-    if smallest * trials < MIN_EXPECTED and len([p for p in expected.values() if p]) > 1:
-        # merging handles it, but refuse clearly hopeless sample sizes
-        if trials * max(expected.values()) < MIN_EXPECTED:
-            raise TermError(f"trials={trials} too small for this distribution")
+    # merging small cells handles the rest, but refuse hopeless sample sizes
+    if trials * max(expected.values()) < MIN_EXPECTED and sum(map(bool, expected.values())) > 1:
+        raise TermError(f"trials={trials} too small for this distribution")
     counts = estimate(ctx, t, trials, seed, impl)
     return compare_counts(counts, expected, trials, impl, seed)

@@ -327,6 +327,16 @@ class TestSimulate:
                            "--no-banner")
         assert code == 0 and "pass: yes" in out
 
+    @pytest.mark.parametrize("trials, message", [
+        ("0", "error: trials must be at least 1\n"),
+        ("-3", "error: trials must be at least 1\n"),
+        ("3", "error: trials=3 too small for this distribution\n"),
+    ])
+    def test_bad_trials_exit_65(self, capsys, trials, message):
+        code, out, err = run(capsys, "simulate", "--context", YZ, "-t", APPENDIX_ONE,
+                             "--trials", trials, "--no-banner")
+        assert (code, out, err) == (EX_DATAERR, "", message)
+
 
 class TestPaperSuite:
     def test_all_checks_pass(self, capsys):

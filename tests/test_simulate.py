@@ -1,9 +1,11 @@
 """Sampler semantics: urn vs. direct Beta draws vs. exact distributions."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from betabern import (
     Nu,
@@ -18,9 +20,17 @@ from betabern import (
     run_betabern,
     run_polya,
 )
-from betabern.simulate import SIGNIFICANCE, chi2, chi_square_stat, compare_counts, check_ground
+from betabern.simulate import (
+    SIGNIFICANCE,
+    _compile,
+    check_ground,
+    chi2,
+    chi_square_stat,
+    compare_counts,
+)
 from betabern.terms import TermError
-from termgen import gen_ground_term
+import refsim
+from termgen import gen_ground_term, term_size
 
 YZ = parse_context("params: - ; vars: y:0, z:0")
 XYZ = parse_context("params: - ; vars: x:0, y:0, z:0")
@@ -38,6 +48,23 @@ class TestGroundGuards:
         ctx = parse_context("params: - ; vars: x:1")
         with pytest.raises(TermError, match="arity 0"):
             check_ground(ctx, parse_term("nu[1,1]p.x(p)", ctx))
+
+    @pytest.mark.parametrize("impl", ["polya", "betabern"])
+    @pytest.mark.parametrize("t, message", [
+        (VarApp("w"), "unknown variable 'w'"),
+        (Nu(0, 1, "p", ParamChoice("p", VarApp("y"), VarApp("z"))),
+         "hyperparameters must be positive"),
+        (RatioChoice(0, 0, VarApp("y"), VarApp("z")), "total weight"),
+        (ParamChoice("p", VarApp("y"), VarApp("z")), "parameter 'p' not in scope"),
+        (Nu(1, 1, "p", Nu(1, 1, "p", ParamChoice("p", VarApp("y"), VarApp("z")))),
+         "binder 'p' rebinds"),
+    ])
+    def test_rejects_ill_formed_terms(self, t, message, impl):
+        # the samplers read a binder's cells by name, so they need the
+        # well-formedness the normalizer checks
+        for run in (estimate, compare):
+            with pytest.raises(TermError, match=f"^term ill-formed: .*{message}"):
+                run(YZ, t, 1000, 1, impl)
 
 
 class TestRunners:
@@ -101,6 +128,27 @@ class TestRunners:
         with pytest.raises(TermError, match="unknown implementation"):
             estimate(YZ, parse_term("y", YZ), trials=1, seed=0, impl="exact")
 
+    @pytest.mark.parametrize("impl, text, trials, seed, y", [
+        # the two simulate calls of the benchmark's cli workload
+        ("polya", "nu[1,1]p.pch[p](pch[p](y,z), z)", 500000, 7, 166879),
+        ("betabern", "nu[1,1]p.nu[1,1]q.pch[p](pch[q](y,z), z)", 250000, 8, 62135),
+    ])
+    def test_bench_counts_pinned(self, impl, text, trials, seed, y):
+        counts = estimate(YZ, parse_term(text, YZ), trials, seed, impl)
+        assert counts == {"y": y, "z": trials - y}
+
+    def test_shared_nodes_compile_once(self):
+        # ten fair coins whose two branches are one node object, and five
+        # binders: one row per node object
+        t = VarApp("y")
+        for n in range(15):
+            t = RatioChoice(1, 1, t, t) if n % 3 else Nu(2, 1, f"p{n}", ParamChoice(
+                f"p{n}", t, VarApp("z")))
+        rows, leaves, _ = _compile(t)
+        assert len(rows) == 26 and sorted(leaves) == ["y", "z"]
+        for impl in ("polya", "betabern"):
+            assert estimate(YZ, t, 2000, 3, impl) == refsim.estimate(YZ, t, 2000, 3, impl)
+
     def test_fair_coin_concentration(self):
         t = parse_term("rch[1,1](y, z)", YZ)
         counts = estimate(YZ, t, trials=100000, seed=8, impl="polya")
@@ -115,6 +163,81 @@ class TestRunners:
         assert exact_distribution(ctx, t)["y"] == F(1, 4)
         counts = estimate(ctx, t, trials=40000, seed=5, impl="polya")
         assert abs(counts["y"] / 40000 - 0.25) < 0.01
+
+
+def shared_names(t, names=None, depth=0):
+    """``t`` with each binder renamed after its depth among binders, so
+    sibling binders share one name."""
+    names = names or {}
+    if isinstance(t, VarApp):
+        return t
+    if isinstance(t, RatioChoice):
+        return RatioChoice(t.i, t.j, shared_names(t.left, names, depth),
+                           shared_names(t.right, names, depth))
+    if isinstance(t, ParamChoice):
+        return ParamChoice(names[t.param], shared_names(t.left, names, depth),
+                           shared_names(t.right, names, depth))
+    name = f"b{depth}"
+    return Nu(t.i, t.j, name, shared_names(t.body, {**names, t.param: name}, depth + 1))
+
+
+class TestAgainstReference:
+    """The compiled samplers against ``refsim``'s runners, which walk the
+    term objects: both must make the same draws in the same order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 60), st.integers(1, 6), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_counts_match_reference(self, term_seed, size, weight_max, share, seed):
+        # hyperparameters up to 6 give Beta binders with i > 1 over three or
+        # more uniforms; ratio weights may be 0 on one side
+        t = gen_ground_term(random.Random(term_seed), XYZ, size, weight_max)
+        if share:
+            t = shared_names(t)
+        for impl in ("polya", "betabern"):
+            assert estimate(XYZ, t, 200, seed, impl) == refsim.estimate(XYZ, t, 200, seed, impl)
+
+    @pytest.mark.parametrize("text", [
+        # sibling binders that share a name
+        "rch[1,1](nu[1,1]p.pch[p](pch[p](y,z),z), "
+        "rch[1,2](nu[3,2]p.pch[p](y,pch[p](z,y)), nu[1,4]p.pch[p](z,y)))",
+        # zero-weight branches still take a draw
+        "rch[0,3](y, rch[2,0](nu[3,3]p.pch[p](y, rch[1,1](z, y)), z))",
+    ])
+    def test_fixed_terms(self, text):
+        t = parse_term(text, YZ)
+        for impl in ("polya", "betabern"):
+            assert estimate(YZ, t, 3000, 5, impl) == refsim.estimate(YZ, t, 3000, 5, impl)
+
+    def test_ratio_threshold_is_not_a_quotient(self):
+        class Fixed:
+            # u * 6 < 5 is false, while u < 5/6 is true
+            def random(self):
+                return 0.8333333333333333
+
+        t = RatioChoice(5, 1, VarApp("y"), VarApp("z"))
+        assert refsim.run_polya(t, Fixed()) == "z"
+        assert run_polya(t, Fixed()) == run_betabern(t, Fixed()) == "z"
+
+
+class TestLargeTerms:
+    def test_both_samplers_on_large_terms(self):
+        """Ten seeded ground terms of 40-80 nodes pass both samplers at
+        100000 trials, within 60 s."""
+        started = time.time()
+        rng = random.Random(0x5A3)
+        terms = []
+        while len(terms) < 10:
+            t = gen_ground_term(rng, XYZ, 80)
+            if term_size(t) >= 40:
+                terms.append(t)
+        for n, t in enumerate(terms):
+            for impl in ("polya", "betabern"):
+                report = compare(XYZ, t, trials=100000, seed=2000 + n, impl=impl)
+                assert report.passed, (n, impl, str(report))
+        elapsed = time.time() - started
+        print(f"10 terms of 40-80 nodes pass both samplers ({elapsed:.1f}s / budget 60s)")
+        assert elapsed < 60.0, "the large-term sampler check exceeded its 60s budget"
 
 
 class TestExactDistribution:
@@ -176,6 +299,16 @@ class TestChiSquare:
         t = parse_term("rch[1,1](y, z)", YZ)
         with pytest.raises(TermError, match="too small"):
             compare(YZ, t, trials=3, seed=0, impl="polya")
+
+    @pytest.mark.parametrize("trials, impl, message", [
+        (0, "polya", "trials must be at least 1"),
+        (-3, "betabern", "trials must be at least 1"),
+        (3, "exact", "unknown implementation 'exact'"),
+    ])
+    def test_arguments_checked_first(self, trials, impl, message):
+        t = parse_term("rch[1,1](y, z)", YZ)
+        with pytest.raises(TermError, match=f"^{message}$"):
+            compare(YZ, t, trials=trials, seed=0, impl=impl)
 
 
 # chi2.ppf(0.999, dof) as computed by scipy.stats 1.17
