@@ -42,8 +42,6 @@ from .normalizer import (  # noqa: F401
     join_normalize,
     normal_form_to_dict,
     normalize,
-    push_nu_to_leaves,
-    raise_level,
     reify,
 )
 from .poly import Poly, format_poly, parse_poly  # noqa: F401

@@ -1,28 +1,29 @@
 """Normalization of choice terms into unique canonical forms.
 
-The pipeline has three stages, each a derivable-equality-preserving
-transformation:
+A normal form is reached in four derivable-equality-preserving stages:
 
-1. ``push_nu_to_leaves`` -- one top-down walk carries each binder down to
-   the leaves: a choice on its parameter becomes a ratio choice with the
-   binder's counts updated in each branch (conjugacy), other choices let
-   it pass (commutativity), and at a variable application it is kept only
-   if the application uses it (discard).  Binders then sit in *chains*:
-   maximal nu-runs ending in a variable application.
+1. Pushing -- each binder is carried down to the leaves: a choice on its
+   parameter becomes a ratio choice with the binder's counts updated in
+   each branch (conjugacy), other choices let it pass (commutativity), and
+   at a variable application it is kept only if the application uses it
+   (discard).  Binders then sit in *chains*: maximal nu-runs ending in a
+   variable application.
 2. Raising -- every binder is expanded until its hyperparameters sum to
    a common level ``n``: a ``nu[i,j]`` below level ``n`` becomes the
-   beta-binomial mixture of the level-``n`` binders it refines to.  After
-   stage 1 binders sit only in chains, so this is done per chain tip: each
-   tip stands for a memoised distribution over level-``n`` canonical
-   chains, read inside the walk of stage 3, and no raised term is built.
-   ``raise_level`` stays available as the same rewrite, term to term.
-3. ``_LeafWalk`` -- choices on each free parameter are averaged into a
+   beta-binomial mixture of the level-``n`` binders it refines to.
+3. Averaging -- choices on each free parameter are averaged into a
    permutation-invariant depth-``k`` tree diagram whose leaves depend only
-   on the number of right branches taken per parameter, and each leaf is
-   collected into its distribution over alpha-canonical chains.  One walk
-   over the paths of the pushed term computes every leaf in closed form,
-   in integers, without building the raised or averaged terms;
-   ``tests/refnorm.py`` builds them, as the reference.
+   on the number of right branches taken per parameter.
+4. Collecting -- each leaf is collected into its distribution over
+   alpha-canonical chains.
+
+``_LeafWalk`` does all four in one explicit-stack walk of each checked
+term, in integers: it carries the pending binders down every path, keys
+the path by the choices it took and its chain tip, and raises the tips
+and spreads the paths over the leaves once ``n`` and ``k`` are known.  No
+pushed, raised or averaged term is built.  ``push_nu_to_leaves`` and
+``raise_level`` are stages 1 and 2 written as term rewrites;
+``tests/refnorm.py`` builds the reference on them.
 
 Writing each leaf as a primitive-integer weighted multichoice over the
 distinct chains yields a :class:`NormalForm`: two well-formed terms are
@@ -103,28 +104,25 @@ def chain_binder_names(ctx: Context, count: int) -> tuple[str, ...]:
     return tuple(names)
 
 
+def _first_use(ctx: Context, var: str, args, hyper) -> tuple:
+    """The alpha-canonical ``(binders, var, argmap)`` of ``var(args)`` under
+    the binders ``hyper`` (parameter name to ``(i, j)``): binders it does
+    not use are dropped and the rest are numbered by first use."""
+    order: dict[str, int] = {}
+    argmap = tuple([("B", order.setdefault(a, len(order) + 1)) if a in hyper
+                    else ("F", ctx.param_position(a)) for a in args])
+    return tuple([hyper[a] for a in order]), var, argmap
+
+
 def chain_from_term(ctx: Context, node: Term) -> Chain:
     """Canonicalize a nu-run: drop unused binders, order by first use."""
-    binders: list[tuple[int, int, str]] = []
+    hyper = {}
     while isinstance(node, Nu):
-        binders.append((node.i, node.j, node.param))
+        hyper[node.param] = (node.i, node.j)
         node = node.body
     if not isinstance(node, VarApp):
         raise TermError(f"chain tip must be a variable application, got {format_term(node)}")
-    hyper = {name: (i, j) for i, j, name in binders}
-    order: dict[str, int] = {}
-    argmap: list[ArgRef] = []
-    for a in node.args:
-        if a in hyper:
-            if a not in order:
-                order[a] = len(order) + 1
-            argmap.append(("B", order[a]))
-        else:
-            argmap.append(("F", ctx.param_position(a)))
-    reordered = [None] * len(order)
-    for name, pos in order.items():
-        reordered[pos - 1] = hyper[name]
-    return Chain(tuple(reordered), node.var, tuple(argmap))
+    return Chain(*_first_use(ctx, node.var, node.args, hyper))
 
 
 @dataclass(eq=True)
@@ -202,7 +200,7 @@ def validate_normal_form(nf: NormalForm, allow_zero_columns: bool = False) -> li
 
 
 # ---------------------------------------------------------------------------
-# Stage 1: push binders to the leaves.
+# Stages 1 and 2 as term rewrites.
 
 
 def push_nu_to_leaves(t: Term) -> Term:
@@ -249,39 +247,6 @@ def push_nu_to_leaves(t: Term) -> Term:
     return go(t, ())
 
 
-# ---------------------------------------------------------------------------
-# Stage 2 as a term rewrite: raise all binders to a common level n.
-
-
-_UNDO = object()  # level_and_depth's stack marker: leave a parameter's choice
-
-
-def level_and_depth(t: Term) -> tuple[int, int]:
-    """The largest binder level ``i + j`` in ``t`` and the most choices on
-    one parameter along a path: the least ``n`` (before the floor of 2) and
-    ``k`` of a pushed term's normal form.  A parameter's count rises on
-    entering a choice on it, and a stack marker lowers it again."""
-    n = k = 0
-    counts: dict[str, int] = {}
-    stack: list = [t]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, RatioChoice):
-            stack += (node.left, node.right)
-        elif isinstance(node, ParamChoice):
-            c = counts[node.param] = counts.get(node.param, 0) + 1
-            k = max(k, c)
-            stack += (node.param, _UNDO, node.left, node.right)
-        elif isinstance(node, Nu):
-            n = max(n, node.i + node.j)
-            stack.append(node.body)
-        elif node is _UNDO:
-            counts[stack.pop()] -= 1
-        elif not isinstance(node, VarApp):
-            raise TermError(f"not a term: {node!r}")
-    return n, k
-
-
 def _rising(x: int, a: int) -> int:
     out = 1
     for s in range(a):
@@ -316,10 +281,10 @@ def multichoice(pairs) -> Term:
 
 
 def raise_level(t: Term, n: int) -> Term:
-    """Expand every binder of a nu-pushed term so hyperparameters sum to n."""
-    lvl = level_and_depth(t)[0]
-    if n < 2 or n < lvl:
-        raise TermError(f"target level {n} below minimum {max(2, lvl)}")
+    """Expand every binder of a nu-pushed term so hyperparameters sum to n;
+    a binder already above level ``n`` is refused."""
+    if n < 2:
+        raise TermError(f"target level {n} below minimum 2")
     return _raise(t, n)
 
 
@@ -331,6 +296,8 @@ def _raise(t: Term, n: int) -> Term:
     if isinstance(t, ParamChoice):
         return ParamChoice(t.param, _raise(t.left, n), _raise(t.right, n))
     assert isinstance(t, Nu)
+    if t.i + t.j > n:
+        raise TermError(f"target level {n} below minimum {t.i + t.j}")
     return _nu_expand(t.i, t.j, t.param, _raise(t.body, n), n)
 
 
@@ -346,20 +313,34 @@ def _nu_expand(i: int, j: int, p: str, body: Term, n: int) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# Stages 2-4: the chain distribution at every leaf of the depth-k diagrams.
+# Stages 1-4: the chain distribution at every leaf of the depth-k diagrams.
 
 
 class _LeafWalk:
-    """Stages 2-4 over pushed terms, in integers.
+    """Stages 1-4 of checked terms, one explicit-stack walk per term, in
+    integers.
 
-    A path that consumes ``d`` choices on a parameter, ``r`` of them right
-    branches, lands in leaf ``s`` of that parameter's depth-k diagram with
-    probability C(k-d, s-r)/C(k, s); contributions multiply across
+    A stack entry is a subterm, the binders pending above it as a map from
+    parameter to ``(i, j)``, and the state of its path.  The cases are
+    those of ``push_nu_to_leaves``: a choice on a pending binder's
+    parameter is the ratio choice ``i : j`` into branches that carry the
+    binder updated to ``(i+1, j)`` and ``(i, j+1)`` (Conj), any other
+    choice passes the binders to both branches (C3, C4), a zero-weight
+    ratio branch is never entered, and at a variable application the
+    binders it does not use are dropped (D1).  The rest make the path's
+    chain tip, a plain ``(binders, var, argmap)`` tuple in first-use order.
+
+    A path that consumes ``d`` choices on a free parameter, ``r`` of them
+    right branches, lands in leaf ``s`` of that parameter's depth-k diagram
+    with probability C(k-d, s-r)/C(k, s); contributions multiply across
     parameters, and the path ends at a chain tip that stands for its
     level-``n`` raising.  This is the composition of raising, averaging
     each parameter's choices into its diagram and collecting every leaf
-    over its chains, without building the raised or averaged terms
-    (``tests/refnorm.py`` builds them, as a reference).
+    over its chains, without building the pushed, raised or averaged terms
+    (``tests/refnorm.py`` builds them, as a reference).  The least ``n``
+    and ``k`` are the largest binder level at a tip and the most choices
+    on one parameter along a path, over all terms walked, so tips are
+    raised and paths spread over the leaves only after every walk.
 
     Each path's probability is carried as an unreduced ``num/den`` of ints
     and all paths are brought to one common denominator.  The factor
@@ -369,142 +350,134 @@ class _LeafWalk:
     shared by every term walked, in order of first appearance.
     """
 
-    def __init__(self, ctx: Context, k: int, n: int):
-        self.ctx, self.k, self.n = ctx, k, n
-        self.chain_ids: dict[Chain, int] = {}
-        self.tips: dict[Term, tuple[int, list[tuple[int, int]]]] = {}
+    def __init__(self, ctx: Context, terms):
+        self.ctx = ctx
+        self.tables = [self.paths(t) for t in terms]
+        self.tips = dict.fromkeys(tip for table in self.tables for _, _, _, tip in table)
+        self.n_min = max([2] + [i + j for binders, _, _ in self.tips for i, j in binders])
+        self.k_min = max([0] + [d for table in self.tables
+                                for consumed, _, _, _ in table for d in consumed])
 
-    def tip(self, node: Term) -> tuple[int, list[tuple[int, int]]]:
-        """A chain tip raised to level ``n``: the total weight and the
-        ``(chain id, weight)`` pairs of its canonical level-``n`` chains,
-        one binder mixture per binder, multiplied."""
-        dist = self.tips.get(node)
-        if dist is not None:
-            return dist
-        binders = []
-        app = node
-        while isinstance(app, Nu):
-            binders.append(app)
-            app = app.body
-        # raising changes hyperparameters only: the canonical chain of the
-        # tip fixes the argument map, and the binder behind each position
-        base = chain_from_term(self.ctx, node)
-        position = {b.param: pos for pos, b in enumerate(binders)}
-        slots = [position[a] for a in dict.fromkeys(app.args) if a in position]
-        ids = self.chain_ids
-        pairs = []
-        for combo in itertools.product(*(_binder_weights(b.i, b.j, self.n) for b in binders)):
-            chain = Chain(tuple(combo[pos][1:] for pos in slots), base.var, base.argmap)
-            pairs.append((ids.setdefault(chain, len(ids)), prod([w for w, _, _ in combo])))
-        dist = self.tips[node] = (sum(w for _, w in pairs), pairs)
-        return dist
-
-    def leaves(self, pushed: Term) -> tuple[int, dict[tuple[int, ...], dict[int, int]]]:
-        """The common denominator and, per multi-index, chain id to weight."""
-        ell = len(self.ctx.params)
-        axis_of = {p: a for a, p in enumerate(self.ctx.params)}
-        # (consumed, rights, den) -> chain id -> numerator over den
-        by_den: dict[tuple, dict[int, int]] = {}
-        stack = [(pushed, 1, 1, (0,) * ell, (0,) * ell)]
+    def paths(self, t: Term) -> dict[tuple, int]:
+        """Path numerators of ``t`` by ``(consumed, rights, den, tip)``:
+        per free parameter, the choices taken on it and their right
+        branches, then the path's denominator and chain tip."""
+        ctx = self.ctx
+        axis_of = {p: a for a, p in enumerate(ctx.params)}
+        out: dict[tuple, int] = {}
+        zero = (0,) * len(ctx.params)
+        stack = [(t, {}, 1, 1, zero, zero)]
         while stack:
-            node, num, den, consumed, rights = stack.pop()
-            if isinstance(node, RatioChoice):
-                total = node.i + node.j
-                if node.i:
-                    stack.append((node.left, num * node.i, den * total, consumed, rights))
-                if node.j:
-                    stack.append((node.right, num * node.j, den * total, consumed, rights))
-            elif isinstance(node, ParamChoice):
+            node, pending, num, den, consumed, rights = stack.pop()
+            if isinstance(node, VarApp):
+                key = (consumed, rights, den, _first_use(ctx, node.var, node.args, pending))
+                out[key] = out.get(key, 0) + num
+            elif isinstance(node, Nu):
+                stack.append((node.body, {**pending, node.param: (node.i, node.j)},
+                              num, den, consumed, rights))
+            elif isinstance(node, RatioChoice):
+                i, j = node.i, node.j
+                if i and j:
+                    stack += ((node.left, pending, num * i, den * (i + j), consumed, rights),
+                              (node.right, pending, num * j, den * (i + j), consumed, rights))
+                else:
+                    stack.append((node.left if i else node.right,
+                                  pending, num, den, consumed, rights))
+            elif node.param in pending:  # Conj
+                p = node.param
+                i, j = pending[p]
+                stack += ((node.left, {**pending, p: (i + 1, j)},
+                           num * i, den * (i + j), consumed, rights),
+                          (node.right, {**pending, p: (i, j + 1)},
+                           num * j, den * (i + j), consumed, rights))
+            else:  # C3
                 a = axis_of[node.param]
-                bumped = consumed[:a] + (consumed[a] + 1,) + consumed[a + 1:]
-                stack.append((node.left, num, den, bumped, rights))
-                stack.append((node.right, num, den, bumped,
-                              rights[:a] + (rights[a] + 1,) + rights[a + 1:]))
-            else:
-                total, pairs = self.tip(node)
-                bucket = by_den.setdefault((consumed, rights, den * total), {})
-                for cid, w in pairs:
-                    bucket[cid] = bucket.get(cid, 0) + num * w
-        common = lcm(*(den for _, _, den in by_den))
-        by_sig: dict[tuple, dict[int, int]] = {}
-        for (consumed, rights, den), bucket in by_den.items():
-            scale = common // den
-            acc = by_sig.setdefault((consumed, rights), {})
-            for cid, v in bucket.items():
-                acc[cid] = acc.get(cid, 0) + v * scale
-        k = self.k
-        leaves: dict[tuple[int, ...], dict[int, int]] = {}
-        for (consumed, rights), acc in by_sig.items():
-            cells = [((), 1)]
-            for d, r in zip(consumed, rights):
-                cells = [(index + (s,), f * comb(k - d, s - r))
-                         for index, f in cells for s in range(r, r + k - d + 1)]
-            for index, f in cells:
-                leaf = leaves.setdefault(index, {})
-                for cid, v in acc.items():
-                    leaf[cid] = leaf.get(cid, 0) + f * v
-        return common, leaves
+                consumed = consumed[:a] + (consumed[a] + 1,) + consumed[a + 1:]
+                stack += ((node.left, pending, num, den, consumed, rights),
+                          (node.right, pending, num, den, consumed,
+                           rights[:a] + (rights[a] + 1,) + rights[a + 1:]))
+        return out
 
-    def forms(self, pushed: list[Term]) -> list[NormalForm]:
-        """Normal forms of the pushed terms over the chains of all of them."""
-        tables = [self.leaves(t) for t in pushed]
-        chains = tuple(sorted(self.chain_ids, key=Chain.sort_key))
-        cols = [self.chain_ids[c] for c in chains]
-        ctx, k = self.ctx, self.k
+    def forms(self, k: int, n: int) -> list[NormalForm]:
+        """Normal forms of the walked terms at depth ``k`` and level ``n``,
+        over the chains of all of them."""
+        ids: dict[Chain, int] = {}
+        raised = {tip: _raise_tip(tip, n, ids) for tip in self.tips}
+        chains = tuple(sorted(ids, key=Chain.sort_key))
+        cols = [ids[c] for c in chains]
         binom = [comb(k, s) for s in range(k + 1)]
         forms = []
-        for common, leaves in tables:
+        for table in self.tables:
+            common = lcm(*(den * raised[tip][0] for _, _, den, tip in table))
+            by_sig: dict[tuple, dict[int, int]] = {}
+            for (consumed, rights, den, tip), num in table.items():
+                total, pairs = raised[tip]
+                scale = num * (common // (den * total))
+                acc = by_sig.setdefault((consumed, rights), {})
+                for cid, w in pairs:
+                    acc[cid] = acc.get(cid, 0) + scale * w
+            leaves: dict[tuple[int, ...], dict[int, int]] = {}
+            for (consumed, rights), acc in by_sig.items():
+                cells = [((), 1)]
+                for d, r in zip(consumed, rights):
+                    cells = [(index + (s,), f * comb(k - d, s - r))
+                             for index, f in cells for s in range(r, r + k - d + 1)]
+                for index, f in cells:
+                    leaf = leaves.setdefault(index, {})
+                    for cid, v in acc.items():
+                        leaf[cid] = leaf.get(cid, 0) + f * v
             weights = {}
-            for index in itertools.product(range(k + 1), repeat=len(ctx.params)):
+            for index in itertools.product(range(k + 1), repeat=len(self.ctx.params)):
                 leaf = leaves[index]
                 vec = [leaf.get(cid, 0) for cid in cols]
                 assert sum(vec) == common * prod([binom[s] for s in index]), \
                     "leaf mass must be 1"
                 g = gcd(*vec)
                 weights[index] = tuple([w // g for w in vec])
-            forms.append(NormalForm(ctx, k, self.n, chains, weights))
+            forms.append(NormalForm(self.ctx, k, n, chains, weights))
         return forms
+
+
+def _raise_tip(tip: tuple, n: int, ids: dict[Chain, int]) -> tuple[int, list[tuple[int, int]]]:
+    """A chain tip raised to level ``n``: the total weight and the
+    ``(chain id, weight)`` pairs of its canonical level-``n`` chains, one
+    binder mixture per binder, multiplied.  Raising changes hyperparameters
+    only, so the argument map and the first-use order stay."""
+    binders, var, argmap = tip
+    pairs = []
+    for combo in itertools.product(*(_binder_weights(i, j, n) for i, j in binders)):
+        chain = Chain(tuple(c[1:] for c in combo), var, argmap)
+        pairs.append((ids.setdefault(chain, len(ids)), prod([w for w, _, _ in combo])))
+    return sum(w for _, w in pairs), pairs
 
 
 # ---------------------------------------------------------------------------
 # The full pipeline.
 
 
-def _stage12(ctx: Context, terms: tuple[Term, ...], k: int | None = None,
-             n: int | None = None) -> tuple[list[Term], int, int]:
-    """Check and push each term and fix one depth ``k`` and level ``n`` for
-    all of them; returns the pushed terms with ``k`` and ``n``.  Raising
-    changes no choice count, so ``k`` is read off the pushed terms."""
-    pushed = []
+def _normal_forms(ctx: Context, terms: tuple[Term, ...], k: int | None = None,
+                  n: int | None = None) -> list[NormalForm]:
+    """Check and walk each term, then build all the forms at one depth
+    ``k`` and level ``n``, by default the least that fit every term."""
     for t in terms:
         bad = check_wellformed(ctx, t)
         if bad:
             raise TermError(f"term ill-formed: {bad[0]}")
-        pushed.append(push_nu_to_leaves(t))
-    levels, depths = zip(*map(level_and_depth, pushed))
-    n_min = max(2, *levels)
-    if n is None:
-        n = n_min
-    elif n < n_min:
-        raise TermError(f"level n={n} below minimum {n_min}")
-    k_min = max(depths)
-    if k is None:
-        k = k_min
-    elif k < k_min:
-        raise TermError(f"depth k={k} below minimum {k_min}")
-    return pushed, k, n
+    walk = _LeafWalk(ctx, terms)
+    for name, given, least in (("level n", n, walk.n_min), ("depth k", k, walk.k_min)):
+        if given is not None and given < least:
+            raise TermError(f"{name}={given} below minimum {least}")
+    return walk.forms(walk.k_min if k is None else k, walk.n_min if n is None else n)
 
 
 def normalize(ctx: Context, t: Term, k: int | None = None, n: int | None = None) -> NormalForm:
     """Unique normal form of ``t`` at the canonical (or given) depth and level."""
-    pushed, k, n = _stage12(ctx, (t,), k, n)
-    return _LeafWalk(ctx, k, n).forms(pushed)[0]
+    return _normal_forms(ctx, (t,), k, n)[0]
 
 
 def join_normalize(ctx: Context, t: Term, u: Term) -> tuple[NormalForm, NormalForm]:
     """Normal forms of both terms at common depth/level over merged chains."""
-    pushed, k, n = _stage12(ctx, (t, u))
-    nf_t, nf_u = _LeafWalk(ctx, k, n).forms(pushed)
+    nf_t, nf_u = _normal_forms(ctx, (t, u))
     return nf_t, nf_u
 
 

@@ -1,17 +1,18 @@
-"""Reference stages 1 and 3-4, written the long way as the definitions read.
+"""Reference stages 1-4, written the long way as the definitions read.
 
-``betabern.normalizer.push_nu_to_leaves`` pushes binders in one top-down
-walk that carries them to the leaves.  The reference here works bottom-up:
-it pushes a binder's body first and then the binder through it, asking at
-every step whether the binder's parameter is still free below.
+``betabern.normalizer._LeafWalk`` does stages 1-4 in one walk of the
+checked term, building no term.  ``betabern.normalizer`` also keeps
+stages 1 and 2 as term rewrites: ``push_nu_to_leaves`` pushes binders in
+one top-down walk that carries them to the leaves, and ``raise_level``
+expands every binder of the pushed term to level ``n``.
 
-``betabern.normalizer._LeafWalk`` raises each chain tip and computes
-each leaf's chain distribution in closed form, in integers, by one walk
-over the paths of the pushed term.  The reference here takes the term
-that ``raise_level`` builds, resolves every parameter's choices by each
-bit vector, averages the resolutions with ``s`` right branches into leaf
-``s`` of a depth-``k`` tree diagram, hoists ratio choices above binders
-and sums the chain masses as fractions.  Tests compare each pair.
+The reference push here works bottom-up: it pushes a binder's body first
+and then the binder through it, asking at every step whether the binder's
+parameter is still free below.  The reference stages 3-4 take the term
+that ``raise_level`` builds, resolve every parameter's choices by each bit
+vector, average the resolutions with ``s`` right branches into leaf ``s``
+of a depth-``k`` tree diagram, hoist ratio choices above binders and sum
+the chain masses as fractions.  Tests compare each pair.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from betabern.normalizer import (
     Chain,
     TreeDiagram,
     chain_from_term,
-    level_and_depth,
     multichoice,
 )
 from betabern.terms import (
@@ -78,6 +78,21 @@ def _push_nu(i: int, j: int, p: str, body: Term) -> Term:
                            _push_nu(i, j, p, body.right))
     # VarApp using p, or a nested chain: a chain tip.
     return Nu(i, j, p, body)
+
+
+def level_and_depth(t: Term, counts: dict[str, int] | None = None) -> tuple[int, int]:
+    """The largest binder level ``i + j`` in ``t`` and the most choices on
+    one parameter along a path, given ``counts`` choices above ``t``."""
+    counts = counts or {}
+    if isinstance(t, VarApp):
+        return 0, max(counts.values(), default=0)
+    if isinstance(t, Nu):
+        n, k = level_and_depth(t.body, counts)
+        return max(n, t.i + t.j), k
+    if isinstance(t, ParamChoice):
+        counts = {**counts, t.param: counts.get(t.param, 0) + 1}
+    (n_l, k_l), (n_r, k_r) = level_and_depth(t.left, counts), level_and_depth(t.right, counts)
+    return max(n_l, n_r), max(k_l, k_r)
 
 
 def _resolve(t: Term, param: str, bits: tuple[int, ...], pos: int = 0) -> Term:

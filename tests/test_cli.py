@@ -348,7 +348,7 @@ class TestPaperSuite:
 
 
 class TestDeepInput:
-    """A deeply nested term is a clean refusal, not an internal error.
+    """A deeply nested term is checked and decided, not an internal error.
 
     Run in a fresh interpreter, as users run the CLI, so that the stack
     depth the test runner adds does not move the limit.
@@ -369,13 +369,22 @@ class TestDeepInput:
              *terms, *argv, "--no-banner"],
             capture_output=True, text=True, env=env, timeout=60)
 
+    def assert_decided(self, command, depth):
+        # the chain reaches y with probability (2/3)^depth
+        proc = self.cli(command, depth)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        if command == "decide":
+            assert proc.stdout == "equal (k=0, n=2)\n"
+        else:
+            y, z = 2 ** depth, 3 ** depth - 2 ** depth
+            assert proc.stdout == ("k: 0\nn: 2\nchains:\n  [0] y\n  [1] z\nweights:\n"
+                                   f"  I=(): {y} {z}\nreified: rch[{y},{z}](y, z)\n")
+
     @pytest.mark.parametrize("command", ["normalize", "decide"])
     @pytest.mark.parametrize("depth", [1000, 3000])
-    def test_too_deep_exits_65(self, command, depth):
-        proc = self.cli(command, depth)
-        assert proc.returncode == EX_DATAERR, proc.stderr
-        assert proc.stderr == "error: term nested too deeply\n"
-        assert "Traceback" not in proc.stderr
+    def test_deep_chain_decided(self, command, depth):
+        self.assert_decided(command, depth)
 
     def test_check_accepts_deep_chain(self):
         proc = self.cli("check", 3000)
@@ -384,8 +393,7 @@ class TestDeepInput:
 
     @pytest.mark.parametrize("command", ["normalize", "decide"])
     def test_depth_900_still_decided(self, command):
-        proc = self.cli(command, 900)
-        assert proc.returncode == 0, proc.stderr
+        self.assert_decided(command, 900)
 
     @pytest.mark.parametrize("swaps", [0, 2])
     def test_replay_deep_chain(self, tmp_path, swaps):

@@ -20,21 +20,19 @@ from betabern import (
     normalize,
     parse_context,
     parse_term,
-    push_nu_to_leaves,
-    raise_level,
     reify,
 )
 from betabern.normalizer import (
-    _LeafWalk,
     chain_from_term,
     format_normal_form,
-    level_and_depth,
     multichoice,
+    push_nu_to_leaves,
+    raise_level,
     validate_normal_form,
 )
 from betabern.semantics import functional_eq, functional_eq_sampled
 from betabern.terms import TermError, check_wellformed, free_params
-from refnorm import chain_distribution, collect_chains, stratify
+from refnorm import chain_distribution, collect_chains, level_and_depth, stratify
 from refnorm import push_nu_to_leaves as reference_push
 from termgen import CONTEXTS, gen_term, rewrite_chain
 
@@ -279,10 +277,10 @@ class TestStratify:
         assert nf.weights[(1,)] == (0,) + mixed + (100,)
         assert nf.weights[(2,)] == (100,) + tuple(3 * w for w in mixed) + (200,)
         assert nf.weights[(3,)] == (0,) + mixed + (100,)
-        # the walk itself skips zero weights, so no dead column appears
-        dead = RatioChoice(0, 1, VarApp("x", ("p", "p")), VarApp("y"))
-        (walked,) = _LeafWalk(ctx, 0, 2).forms([dead])
-        assert [c.var for c in walked.chains] == ["y"]
+        # the walk never enters a zero-weight branch, so no dead column appears
+        dead = normalize(ctx, RatioChoice(0, 1, VarApp("x", ("p", "p")), VarApp("y")))
+        assert [c.var for c in dead.chains] == ["y"]
+        assert validate_normal_form(dead) == []
 
 
 class TestCollectChains:
@@ -377,12 +375,24 @@ class TestNormalize:
         assert functional_eq(YZ, reify(nf), t)
 
     def test_too_small_overrides_rejected(self):
-        ctx = parse_context("params: p ; vars: x:1")
+        ctx = parse_context("params: p ; vars: x:1, y:0")
         t = parse_term("pch[p](nu[2,2]q.x(q), x(p))", ctx)
-        with pytest.raises(TermError, match="level"):
+        with pytest.raises(TermError, match=r"^level n=3 below minimum 4$"):
             normalize(ctx, t, n=3)
-        with pytest.raises(TermError, match="depth"):
+        with pytest.raises(TermError, match=r"^depth k=0 below minimum 1$"):
             normalize(ctx, t, k=0)
+        with pytest.raises(TermError, match=r"^level n=1 below minimum 2$"):
+            normalize(ctx, parse_term("y", ctx), n=1)
+        # the level is read after Conj updates the binder at each x(a), and
+        # the choice on the bound a adds nothing to the depth
+        t = parse_term("nu[1,1]a.pch[a](x(a), pch[p](y, pch[p](x(a), y)))", ctx)
+        nf = normalize(ctx, t)
+        assert (nf.k, nf.n) == (2, 3)
+        assert normalize(ctx, t, k=2, n=3) == nf
+        with pytest.raises(TermError, match=r"^level n=2 below minimum 3$"):
+            normalize(ctx, t, n=2)
+        with pytest.raises(TermError, match=r"^depth k=1 below minimum 2$"):
+            normalize(ctx, t, k=1)
 
     def test_canonical_depth_and_level(self):
         # k counts the choices on one parameter along one path
@@ -396,6 +406,44 @@ class TestNormalize:
     def test_ill_formed_rejected(self):
         with pytest.raises(TermError, match="ill-formed"):
             normalize(YZ, VarApp("nope"))
+
+
+class TestDeepChains:
+    """Chains far deeper than the interpreter's stack are decided: the walk
+    keeps its own stack.  ``rch[1,2](z, ·)`` reaches ``y`` with probability
+    ``(2/3)^d``; ``nu[1,1]b.rch[1,1](z, ·)`` and ``nu[1,1]b.pch[b](z, ·)``,
+    whose binders go unused and are dropped, with ``(1/2)^d``."""
+
+    @staticmethod
+    def chain(kind, depth):
+        t = VarApp("y")
+        for s in range(depth):
+            b = f"b{s}"
+            if kind == "ratio":
+                t = RatioChoice(1, 2, VarApp("z"), t)
+            elif kind == "binder":
+                t = Nu(1, 1, b, RatioChoice(1, 1, VarApp("z"), t))
+            else:
+                t = Nu(1, 1, b, ParamChoice(b, VarApp("z"), t))
+        return t
+
+    @pytest.mark.parametrize("kind, depth, y_base, total_base", [
+        ("ratio", 3000, 2, 3), ("binder", 1000, 1, 2), ("conj", 1000, 1, 2)])
+    def test_closed_form(self, kind, depth, y_base, total_base):
+        from betabern import equal
+        from betabern.simulate import exact_distribution
+
+        t = self.chain(kind, depth)
+        y, total = y_base ** depth, total_base ** depth
+        nf = normalize(YZ, t)
+        assert (nf.k, nf.n) == (0, 2)
+        assert [c.var for c in nf.chains] == ["y", "z"]
+        assert nf.weights[()] == (y, total - y)
+        closed = RatioChoice(y, total - y, VarApp("y"), VarApp("z"))
+        assert equal(YZ, t, closed).equal
+        assert not equal(YZ, t, RatioChoice(y, total - y + 1, VarApp("y"), VarApp("z"))).equal
+        assert exact_distribution(YZ, t) == {"y": Fraction(y, total),
+                                             "z": Fraction(total - y, total)}
 
 
 class TestJoinAndUniqueness:
