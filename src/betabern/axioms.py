@@ -422,14 +422,12 @@ def expand_macro(t: Term, macro: MacroStep) -> list[RewriteStep]:
 # --- derivation checking ---------------------------------------------------
 
 
-def check_derivation(ctx: Context, start: Term, steps, end: Term,
-                     check_intermediates: bool = True) -> bool:
+def check_derivation(ctx: Context, start: Term, steps, end: Term) -> bool:
     """Apply ``steps`` (rewrite or macro) to ``start``; true iff the result
     is alpha-equal to ``end``.
 
-    Any step failure is re-raised with the failing step index.  With
-    ``check_intermediates`` every intermediate term is validated against the
-    context.
+    Any step failure is re-raised with the failing step index, and every
+    intermediate term is validated against the context.
     """
     bad = check_wellformed(ctx, start)
     if bad:
@@ -444,10 +442,9 @@ def check_derivation(ctx: Context, start: Term, steps, end: Term,
                 cur = apply_axiom(cur, step)
         except AxiomError as e:
             raise AxiomError(f"step {idx} ({step}): {e}") from None
-        if check_intermediates:
-            bad = check_wellformed(ctx, cur)
-            if bad:
-                raise AxiomError(f"step {idx} ({step}) produced ill-formed term: {bad[0]}")
+        bad = check_wellformed(ctx, cur)
+        if bad:
+            raise AxiomError(f"step {idx} ({step}) produced ill-formed term: {bad[0]}")
     return alpha_eq(cur, end)
 
 

@@ -494,27 +494,19 @@ class TreeDiagram:
     leaves: dict[tuple[int, ...], Term]
 
     def to_term(self) -> Term:
-        # memoized per level: the subdiagram depends only on the count of
-        # right branches, so equal-count nodes share one term object
-        def build(axis: int, prefix: tuple[int, ...]) -> Term:
-            if axis == len(self.params):
-                return self.leaves[prefix]
-            memo: dict[tuple[int, int], Term] = {}
-
-            def node(depth: int, rights: int) -> Term:
-                key = (depth, rights)
-                if key not in memo:
-                    if depth == self.k:
-                        memo[key] = build(axis + 1, prefix + (rights,))
-                    else:
-                        memo[key] = ParamChoice(self.params[axis],
-                                                node(depth + 1, rights),
-                                                node(depth + 1, rights + 1))
-                return memo[key]
-
-            return node(0, 0)
-
-        return build(0, ())
+        # bottom-up from the last parameter: a row holds the subdiagrams of
+        # one prefix by count of right branches, and each node is shared by
+        # the two above it, so equal-count subdiagrams are one object
+        level = self.leaves
+        for axis in reversed(range(len(self.params))):
+            subs = {}
+            for prefix in itertools.product(range(self.k + 1), repeat=axis):
+                row = [level[prefix + (rights,)] for rights in range(self.k + 1)]
+                for _ in range(self.k):
+                    row = [ParamChoice(self.params[axis], a, b) for a, b in zip(row, row[1:])]
+                subs[prefix] = row[0]
+            level = subs
+        return level[()]
 
 
 def reify(nf: NormalForm) -> Term:

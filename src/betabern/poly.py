@@ -352,7 +352,10 @@ def parse_poly(src: str, allowed_vars=None) -> Poly:
             return inner
         fail("expected a number, variable, or '('")
 
-    out = parse_expr()
+    try:
+        out = parse_expr()
+    except RecursionError:
+        raise PolyError(f"polynomial {src[:40]!r}... is nested too deeply") from None
     if peek()[0] != "end":
         fail("trailing input")
     return out

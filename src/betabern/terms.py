@@ -16,7 +16,7 @@ freely between threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 RESERVED_WORDS = frozenset({"rch", "pch", "nu", "params", "vars"})
 # Python's default limit on int <-> str conversion, which is quadratic in
@@ -98,14 +98,15 @@ class Term:
     def __str__(self) -> str:
         return format_term(self)
 
+    def __repr__(self) -> str:
+        args = ", ".join(repr(getattr(self, f.name)) for f in fields(self))
+        return f"{type(self).__name__}({args})"
+
 
 @dataclass(frozen=True, repr=False)
 class VarApp(Term):
     var: str
     args: tuple[str, ...] = ()
-
-    def __repr__(self):
-        return f"VarApp({self.var!r}, {self.args!r})"
 
 
 @dataclass(frozen=True, repr=False)
@@ -115,18 +116,12 @@ class RatioChoice(Term):
     left: Term
     right: Term
 
-    def __repr__(self):
-        return f"RatioChoice({self.i}, {self.j}, {self.left!r}, {self.right!r})"
-
 
 @dataclass(frozen=True, repr=False)
 class ParamChoice(Term):
     param: str
     left: Term
     right: Term
-
-    def __repr__(self):
-        return f"ParamChoice({self.param!r}, {self.left!r}, {self.right!r})"
 
 
 @dataclass(frozen=True, repr=False)
@@ -135,9 +130,6 @@ class Nu(Term):
     j: int
     param: str
     body: Term
-
-    def __repr__(self):
-        return f"Nu({self.i}, {self.j}, {self.param!r}, {self.body!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +220,22 @@ def free_params(t: Term) -> frozenset[str]:
 
 
 def all_params(t: Term) -> frozenset[str]:
-    """Every parameter name occurring in ``t``, free or bound."""
-    if isinstance(t, VarApp):
-        return frozenset(t.args)
-    if isinstance(t, (RatioChoice, ParamChoice)):
-        extra = frozenset((t.param,)) if isinstance(t, ParamChoice) else frozenset()
-        return all_params(t.left) | all_params(t.right) | extra
-    if isinstance(t, Nu):
-        return all_params(t.body) | {t.param}
-    raise TermError(f"not a term: {t!r}")
+    """Every parameter name occurring in ``t``, free or bound.  One walk
+    with an explicit stack."""
+    out: set[str] = set()
+    stack: list = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, VarApp):
+            out.update(t.args)
+        elif isinstance(t, RatioChoice):
+            stack += (t.left, t.right)
+        elif isinstance(t, (ParamChoice, Nu)):
+            out.add(t.param)
+            stack += (t.body,) if isinstance(t, Nu) else (t.left, t.right)
+        else:
+            raise TermError(f"not a term: {t!r}")
+    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -361,26 +360,7 @@ def fresh_param(base: str, avoid) -> str:
 
 def rename_params(t: Term, mapping: dict[str, str]) -> Term:
     """Simultaneously rename free parameters, freshening binders on clashes."""
-    mapping = {k: v for k, v in mapping.items() if k != v}
-    if not mapping:
-        return t
-    if isinstance(t, VarApp):
-        return VarApp(t.var, tuple(mapping.get(a, a) for a in t.args))
-    if isinstance(t, RatioChoice):
-        return RatioChoice(t.i, t.j, rename_params(t.left, mapping),
-                           rename_params(t.right, mapping))
-    if isinstance(t, ParamChoice):
-        return ParamChoice(mapping.get(t.param, t.param),
-                           rename_params(t.left, mapping),
-                           rename_params(t.right, mapping))
-    assert isinstance(t, Nu)
-    sub = {k: v for k, v in mapping.items() if k != t.param}
-    if t.param in sub.values():
-        avoid = set(sub) | set(sub.values()) | all_params(t.body)
-        fresh = fresh_param(t.param, avoid)
-        sub[t.param] = fresh
-        return Nu(t.i, t.j, fresh, rename_params(t.body, sub))
-    return Nu(t.i, t.j, t.param, rename_params(t.body, sub))
+    return _rewrite(t, {k: v for k, v in mapping.items() if k != v}, {}, frozenset())
 
 
 def substitute(t: Term, bindings: dict[str, tuple[tuple[str, ...], Term]]) -> Term:
@@ -395,29 +375,53 @@ def substitute(t: Term, bindings: dict[str, tuple[tuple[str, ...], Term]]) -> Te
     inject: set[str] = set()
     for formals, rep in bindings.values():
         inject |= all_params(rep) - set(formals)
+    return _rewrite(t, {}, bindings, frozenset(inject))
 
-    def go(t: Term) -> Term:
-        if isinstance(t, VarApp):
-            if t.var not in bindings:
-                return t
-            formals, rep = bindings[t.var]
-            if len(formals) != len(t.args):
+
+def _rewrite(t: Term, env: dict[str, str], bindings, inject: frozenset[str]) -> Term:
+    """Rename the free parameters of ``t`` by ``env`` and substitute its
+    variables by ``bindings`` in one walk with an explicit stack.  A binder
+    is freshened when ``env`` maps a name onto it or, with bindings, when it
+    is in ``inject``; its body is walked with its name mapped to the fresh
+    one.  With bindings, ``env`` renames no binder, so a body's names once
+    renamed are its own and the images of its free names (the names mapped
+    away are in ``inject``).  An entry ``(constructor, fields, count)`` builds a node
+    from the last ``count`` terms done."""
+    done: list[Term] = []
+    stack: list = [(t, env, bindings)]
+    while stack:
+        t, env, binds = stack.pop()
+        if isinstance(t, type):
+            done[-binds:] = [t(*env, *done[-binds:])]
+        elif not env and not binds:
+            done.append(t)
+        elif isinstance(t, VarApp):
+            app = VarApp(t.var, tuple(env.get(a, a) for a in t.args))
+            if t.var not in binds:
+                done.append(app)
+                continue
+            formals, rep = binds[t.var]
+            if len(formals) != len(app.args):
                 raise SubstitutionError(
-                    f"occurrence {t} has {len(t.args)} arguments but the "
+                    f"occurrence {app} has {len(app.args)} arguments but the "
                     f"replacement declares {len(formals)} formals")
-            return rename_params(rep, dict(zip(formals, t.args)))
-        if isinstance(t, RatioChoice):
-            return RatioChoice(t.i, t.j, go(t.left), go(t.right))
-        if isinstance(t, ParamChoice):
-            return ParamChoice(t.param, go(t.left), go(t.right))
-        assert isinstance(t, Nu)
-        if t.param in inject:
-            fresh = fresh_param(t.param, inject | all_params(t.body))
-            body = rename_params(t.body, {t.param: fresh})
-            return Nu(t.i, t.j, fresh, go(body))
-        return Nu(t.i, t.j, t.param, go(t.body))
-
-    return go(t)
+            actual = dict(zip(formals, app.args))
+            stack.append((rep, {f: a for f, a in actual.items() if f != a}, {}))
+        elif isinstance(t, (RatioChoice, ParamChoice)):
+            head = (t.i, t.j) if isinstance(t, RatioChoice) else (env.get(t.param, t.param),)
+            stack += ((type(t), head, 2), (t.right, env, binds), (t.left, env, binds))
+        elif isinstance(t, Nu):
+            p = t.param
+            env = {k: v for k, v in env.items() if k != p}
+            if p in env.values():
+                env[p] = fresh_param(p, set(env) | set(env.values()) | all_params(t.body))
+            elif binds and p in inject:
+                free = free_params(t.body) & env.keys()
+                env[p] = fresh_param(p, inject | all_params(t.body) | {env[a] for a in free})
+            stack += ((Nu, (t.i, t.j, env.get(p, p)), 1), (t.body, env, binds))
+        else:
+            raise TermError(f"not a term: {t!r}")
+    return done[0]
 
 
 # ---------------------------------------------------------------------------

@@ -356,18 +356,21 @@ class TestDeepInput:
 
     CONTEXT = "params: - ; vars: y:0, z:0"
 
+    D = "rch[1,2](z, " * 3000 + "y" + ")" * 3000
+
     def cli(self, command, depth, *argv):
         deep = "rch[1,2](z, " * depth + "y" + ")" * depth
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = {**os.environ, "PYTHONPATH": src}
         if command == "replay":
             terms = ["--start", deep, "--end", deep]
         else:
             terms = ["-t", deep] * (2 if command == "decide" else 1)
-        return subprocess.run(
-            [sys.executable, "-m", "betabern.cli", command, "--context", self.CONTEXT,
-             *terms, *argv, "--no-banner"],
-            capture_output=True, text=True, env=env, timeout=60)
+        return self.spawn(command, "--context", self.CONTEXT, *terms, *argv)
+
+    def spawn(self, *argv):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        return subprocess.run([sys.executable, "-m", "betabern.cli", *argv, "--no-banner"],
+                              capture_output=True, text=True, env=env, timeout=60)
 
     def assert_decided(self, command, depth):
         # the chain reaches y with probability (2/3)^depth
@@ -403,3 +406,28 @@ class TestDeepInput:
         proc = self.cli("replay", 3000, "--steps", str(steps))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "derivation ok\n"
+
+    # short ids: pytest puts the test id in PYTEST_CURRENT_TEST, and an id
+    # holding these terms would exceed the kernel's limit on one
+    # environment string, so the child could not start
+    @pytest.mark.parametrize("step, start, end", [
+        ("D1 rl path=. i=1 j=1 p=q", D, f"nu[1,1]q.{D}"),
+        ("C4 rl path=.", f"rch[1,1](nu[1,1]p.{D}, nu[1,1]q.{D})", f"nu[1,1]p.rch[1,1]({D}, {D})"),
+    ], ids=["D1", "C4"])
+    def test_replay_moves_binder_over_deep_chain(self, tmp_path, step, start, end):
+        # D1 checks the new name against every name of the chain, and C4
+        # renames q to p through the whole right branch
+        steps = tmp_path / "steps.txt"
+        steps.write_text(step + "\n")
+        proc = self.spawn("replay", "--context", self.CONTEXT, "--start", start, "--end", end,
+                          "--steps", str(steps))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "derivation ok\n"
+
+    def test_eval_deep_argument_blames_the_polynomial(self):
+        poly = "(" * 3000 + "a" + ")" * 3000
+        proc = self.spawn("eval", "--context", "params: - ; vars: x:1", "-t", "nu[1,1]p.x(p)",
+                          "-a", f"f_x(a) = {poly}")
+        assert proc.returncode == EX_DATAERR
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: polynomial {poly[:40]!r}... is nested too deeply\n"

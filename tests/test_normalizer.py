@@ -1,7 +1,9 @@
 """Normalization stages, golden forms, uniqueness, and serialization."""
 
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -37,6 +39,7 @@ from refnorm import push_nu_to_leaves as reference_push
 from termgen import CONTEXTS, gen_term, rewrite_chain
 
 YZ = parse_context("params: - ; vars: y:0, z:0")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def nu_free(t):
@@ -444,6 +447,39 @@ class TestDeepChains:
         assert not equal(YZ, t, RatioChoice(y, total - y + 1, VarApp("y"), VarApp("z"))).equal
         assert exact_distribution(YZ, t) == {"y": Fraction(y, total),
                                              "z": Fraction(total - y, total)}
+
+
+class TestDeepReify:
+    def test_one_parameter_form_deeper_than_the_stack(self):
+        # pch[p](y, z) at depth k = 300 under a recursion limit of 100: the
+        # diagram has one node per (depth, count of right branches), and
+        # its edge paths lead to the leaves y and z
+        code = """if True:
+            import sys
+            from betabern import normalize, parse_context, parse_term, reify
+            from betabern.terms import ParamChoice
+            ctx = parse_context("params: p ; vars: y:0, z:0")
+            nf = normalize(ctx, parse_term("pch[p](y, z)", ctx), k=300)
+            sys.setrecursionlimit(100)
+            t = reify(nf)
+            nodes, stack = set(), [t]
+            while stack:
+                u = stack.pop()
+                if isinstance(u, ParamChoice) and id(u) not in nodes:
+                    nodes.add(id(u))
+                    stack += (u.left, u.right)
+            ends = []
+            for side in ("left", "right"):
+                u = t
+                while isinstance(u, ParamChoice):
+                    u = getattr(u, side)
+                ends.append(str(u))
+            print(len(nodes), t.left.right is t.right.left, *ends)
+        """
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{300 * 301 // 2} True y z\n"
 
 
 class TestJoinAndUniqueness:

@@ -23,8 +23,10 @@ from betabern import (
     parse_term,
     substitute,
 )
-from betabern.terms import replace_at, subterm_at
+from betabern.terms import all_params, rename_params, replace_at, subterm_at
 from termgen import gen_term
+
+import refterms
 
 CTX = parse_context("params: p ; vars: x:0, y:0")
 YZ = parse_context("params: - ; vars: y:0, z:0")
@@ -287,6 +289,91 @@ class TestSubstitute:
             rep = gen_term(rng, outer, 6)
             out = substitute(t, {"w": ((), rep)})
             assert free_params(out) <= free_params(t) | free_params(rep)
+
+
+class TestRewriteReference:
+    """Renaming and substitution print exactly as the recursive reference
+    in ``refterms``, fresh names included, on terms whose binder names
+    clash with the mapping's values and with the injected names."""
+
+    OUTER = parse_context("params: p, q ; vars: w:1, x:2, y:0")
+    POOL = ("p", "q", "q1", "q2", "q3", "q11", "p1", "s")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(3, 40))
+    def test_rename_matches_reference(self, seed, size):
+        rng = random.Random(seed)
+        t = gen_term(rng, self.OUTER, size)
+        names = sorted(all_params(t) | set(self.POOL))
+        mapping = {k: rng.choice(names) for k in rng.sample(names, rng.randint(1, 3))}
+        assert (format_term(rename_params(t, mapping))
+                == format_term(refterms.rename_params(t, mapping)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(3, 40))
+    def test_substitute_matches_reference(self, seed, size):
+        rng = random.Random(seed)
+        t = gen_term(rng, self.OUTER, size)
+        bindings = {}
+        for var, arity in (("w", 1), ("x", 2)):
+            # formals and free names of the replacement drawn from the
+            # binder names of t, so both capture and shadowing occur
+            names = rng.sample(self.POOL, arity + rng.randint(0, 2))
+            rep_ctx = Context(tuple(names), (("x", 2), ("y", 0)))
+            bindings[var] = (tuple(names[:arity]), gen_term(rng, rep_ctx, rng.randint(1, 12)))
+        assert (format_term(substitute(t, bindings))
+                == format_term(refterms.substitute(t, bindings)))
+
+    def test_nested_freshened_binders_stay_apart(self):
+        # the replacement brings in a, a1, ..., a10: binder a1 becomes a11,
+        # so the inner binder a, whose body now uses a11, becomes a12
+        ctx = parse_context("params: - ; vars: x:2, w:0, y:0")
+        t = parse_term("nu[1,1]a1.nu[1,1]a.rch[1,1](x(a1,a), w)", ctx)
+        names = ["a"] + [f"a{n}" for n in range(1, 11)]
+        rep = VarApp("y")
+        for name in names:
+            rep = ParamChoice(name, rep, VarApp("y"))
+        out = substitute(t, {"w": ((), rep)})
+        assert format_term(out) == format_term(refterms.substitute(t, {"w": ((), rep)}))
+        assert format_term(out).startswith("nu[1,1]a11.nu[1,1]a12.rch[1,1](x(a11,a12), ")
+
+    def test_deep_chain(self):
+        # binder b over pch[b](y, pch[b](y, ... x(b))) 100,000 choices deep
+        depth = 100_000
+
+        def chain(name, leaf):
+            for _ in range(depth):
+                leaf = ParamChoice(name, VarApp("y"), leaf)
+            return leaf
+
+        t = Nu(1, 1, "b", chain("b", VarApp("x", ("b",))))
+        assert all_params(t) == {"b"}
+        free = chain("p", VarApp("x", ("p",)))
+        assert format_term(rename_params(free, {"p": "r"})) == format_term(
+            chain("r", VarApp("x", ("r",))))
+        # p renamed onto the binder: b is freshened to b1 all the way down
+        u = Nu(1, 1, "b", ParamChoice("p", t.body, VarApp("y")))
+        assert format_term(rename_params(u, {"p": "b"})) == format_term(
+            Nu(1, 1, "b1", ParamChoice("b", chain("b1", VarApp("x", ("b1",))), VarApp("y"))))
+        # the replacement brings in a free b: the binder becomes b1
+        rep = ParamChoice("b", VarApp("x", ("a",)), VarApp("y"))
+        leaf = ParamChoice("b", VarApp("x", ("b1",)), VarApp("y"))
+        assert format_term(substitute(t, {"x": (("a",), rep)})) == format_term(
+            Nu(1, 1, "b1", chain("b1", leaf)))
+
+
+class TestRepr:
+    @pytest.mark.parametrize("term, text", [
+        (VarApp("x", ("p", "q")), "VarApp('x', ('p', 'q'))"),
+        (VarApp("y"), "VarApp('y', ())"),
+        (RatioChoice(1, 2, VarApp("y"), VarApp("z")),
+         "RatioChoice(1, 2, VarApp('y', ()), VarApp('z', ()))"),
+        (ParamChoice("p", VarApp("y"), VarApp("z")),
+         "ParamChoice('p', VarApp('y', ()), VarApp('z', ()))"),
+        (Nu(1, 3, "p", VarApp("x", ("p",))), "Nu(1, 3, 'p', VarApp('x', ('p',)))"),
+    ])
+    def test_repr(self, term, text):
+        assert repr(term) == text
 
 
 class TestAlpha:
