@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, replace
 from .terms import (
     MAX_NUMERAL_DIGITS,
     _IDENT_RE,
+    AxiomError,
     Context,
     Nu,
     ParamChoice,
@@ -54,10 +55,6 @@ AXIOM_NAMES = (
 )
 
 MACRO_NAMES = ("Scale", "RatioComm")
-
-
-class AxiomError(Exception):
-    """Pattern mismatch or violated side condition in a rewrite step."""
 
 
 @dataclass

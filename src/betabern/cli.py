@@ -9,22 +9,20 @@ when not.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
-from .axioms import AxiomError, check_derivation, parse_derivation
-from .decide import equal
-from .normalizer import format_normal_form, normal_form_to_dict, normalize
-from .papersuite import run_paper_suite
-from .poly import NAME_RE, PolyError, format_poly, parse_poly
-from .semantics import FuncArg, interpret
-from .simulate import compare
+
+# Each command imports the modules it runs, so that a call pays start-up
+# only for its own command; every error that ``main`` maps to exit 65 is
+# defined in ``terms``.
 from .terms import (
+    AxiomError,
     Context,
     ParseError,
+    PolyError,
     Term,
     TermError,
     check_wellformed,
@@ -107,6 +105,12 @@ def _banner(opts) -> None:
         print(f"betabern {__version__}")
 
 
+def _print_json(payload) -> None:
+    import json
+
+    print(json.dumps(payload, indent=2, sort_keys=True))
+
+
 def _load_context(opts) -> Context:
     if not opts.context:
         raise UsageError("--context is required for this command")
@@ -138,6 +142,8 @@ def _cmd_check(opts) -> int:
 
 
 def _cmd_normalize(opts) -> int:
+    from .normalizer import format_normal_form, normal_form_to_dict, normalize
+
     ctx = _load_context(opts)
     terms = _gather_terms(opts, ctx)
     if len(terms) != 1:
@@ -145,7 +151,7 @@ def _cmd_normalize(opts) -> int:
     nf = normalize(ctx, terms[0])
     with _long_ints():
         if opts.format == "structured":
-            print(json.dumps(normal_form_to_dict(nf), indent=2, sort_keys=True))
+            _print_json(normal_form_to_dict(nf))
         else:
             print(format_normal_form(nf))
     return 0
@@ -166,6 +172,8 @@ def _read_corpus_file(path: Path, default_ctx: Context | None):
 
 @_long_ints()
 def _print_verdict(ctx: Context, verdict, fmt: str, label: str = "") -> None:
+    from .normalizer import normal_form_to_dict
+
     prefix = f"{label}: " if label else ""
     if fmt == "structured":
         payload = {
@@ -181,7 +189,7 @@ def _print_verdict(ctx: Context, verdict, fmt: str, label: str = "") -> None:
                 "left_weight": verdict.witness.left_weight,
                 "right_weight": verdict.witness.right_weight,
             }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json(payload)
         return
     print(f"{prefix}{'equal' if verdict.equal else 'not equal'} "
           f"(k={verdict.left.k}, n={verdict.left.n})")
@@ -190,6 +198,8 @@ def _print_verdict(ctx: Context, verdict, fmt: str, label: str = "") -> None:
 
 
 def _cmd_decide(opts) -> int:
+    from .decide import equal
+
     if opts.corpus:
         default_ctx = parse_context(opts.context) if opts.context else None
         corpus = Path(opts.corpus)
@@ -216,6 +226,9 @@ def _cmd_decide(opts) -> int:
 
 
 def _parse_func_arg(text: str, ctx: Context):
+    from .poly import NAME_RE, parse_poly
+    from .semantics import FuncArg
+
     head, _, body = text.partition("=")
     if not body:
         raise PolyError(f"argument {text!r} needs the form 'f_<var>(formals) = poly'")
@@ -243,6 +256,9 @@ def _parse_func_arg(text: str, ctx: Context):
 
 
 def _cmd_eval(opts) -> int:
+    from .poly import format_poly
+    from .semantics import interpret
+
     ctx = _load_context(opts)
     terms = _gather_terms(opts, ctx)
     if len(terms) != 1:
@@ -263,6 +279,8 @@ def _cmd_eval(opts) -> int:
 
 
 def _cmd_replay(opts) -> int:
+    from .axioms import check_derivation, parse_derivation
+
     ctx = _load_context(opts)
     start = parse_term(opts.start, ctx)
     end = parse_term(opts.end, ctx)
@@ -273,6 +291,8 @@ def _cmd_replay(opts) -> int:
 
 
 def _cmd_simulate(opts) -> int:
+    from .simulate import compare
+
     ctx = _load_context(opts)
     terms = _gather_terms(opts, ctx)
     if len(terms) != 1:
@@ -283,6 +303,8 @@ def _cmd_simulate(opts) -> int:
 
 
 def _cmd_paper_suite(opts) -> int:
+    from .papersuite import run_paper_suite
+
     results = run_paper_suite()
     failures = 0
     for name, ok, detail in results:

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, gcd, lcm, prod
 
 from .terms import (
@@ -145,6 +144,8 @@ class NormalForm:
         return itertools.product(range(self.k + 1), repeat=len(self.ctx.params))
 
     def leaf_fractions(self, index) -> dict[Chain, Fraction]:
+        from fractions import Fraction  # imported here: decide never needs it
+
         vec = self.weights[tuple(index)]
         total = sum(vec)
         return {c: Fraction(w, total) for c, w in zip(self.chains, vec) if w}

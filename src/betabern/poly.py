@@ -11,11 +11,7 @@ import re
 from fractions import Fraction
 from operator import add
 
-from .terms import MAX_NUMERAL_DIGITS
-
-
-class PolyError(Exception):
-    pass
+from .terms import MAX_NUMERAL_DIGITS, PolyError
 
 
 class Poly:

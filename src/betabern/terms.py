@@ -45,6 +45,19 @@ class ParseError(TermError):
         self.col = col
 
 
+# The errors of the polynomial parser and of derivation checking live here,
+# next to the term errors, so that the CLI maps all of them to exit 65
+# without importing ``poly`` or ``axioms``; those modules re-export them.
+
+
+class PolyError(Exception):
+    """Malformed polynomial or evaluation argument."""
+
+
+class AxiomError(Exception):
+    """Pattern mismatch or violated side condition in a rewrite step."""
+
+
 def _check_ident(name: str, what: str) -> None:
     if not _IDENT_RE.match(name):
         raise TermError(f"{what} {name!r} is not a valid identifier")
@@ -99,8 +112,20 @@ class Term:
         return format_term(self)
 
     def __repr__(self) -> str:
-        args = ", ".join(repr(getattr(self, f.name)) for f in fields(self))
-        return f"{type(self).__name__}({args})"
+        # the dataclass repr, built with an explicit stack so deep terms print
+        out, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if not isinstance(item, Term):
+                out.append(item)
+                continue
+            parts = [f"{type(item).__name__}("]
+            for f in fields(item):
+                value = getattr(item, f.name)
+                parts += (value if isinstance(value, Term) else repr(value), ", ")
+            parts[-1] = ")"
+            stack += reversed(parts)
+        return "".join(out)
 
 
 @dataclass(frozen=True, repr=False)

@@ -260,15 +260,17 @@ class TestLongNumerals:
             sys.set_int_max_str_digits(limit)
 
     def test_int_string_limit_holds_outside_output(self, capsys, monkeypatch):
-        import betabern.cli as cli
+        # the command imports ``normalize`` when it runs, so the spy goes on
+        # the normalizer module
+        import betabern.normalizer as normalizer
         seen = []
 
         def spy(ctx, t):
             seen.append(sys.get_int_max_str_digits())
             return normalize(ctx, t)
 
-        normalize = cli.normalize
-        monkeypatch.setattr(cli, "normalize", spy)
+        normalize = normalizer.normalize
+        monkeypatch.setattr(normalizer, "normalize", spy)
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4300)
         try:
@@ -431,3 +433,66 @@ class TestDeepInput:
         assert proc.returncode == EX_DATAERR
         assert proc.stdout == ""
         assert proc.stderr == f"error: polynomial {poly[:40]!r}... is nested too deeply\n"
+
+
+class TestStartUp:
+    """Each command loads only the modules it runs.
+
+    Run in fresh interpreters: this test session has already imported
+    every module, so an in-process call cannot see what a command loads,
+    nor whether ``main`` maps an error whose module it never imported.
+    """
+
+    SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    LOADED = r"""
+import json, sys
+from betabern.cli import main
+code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("betabern."))]))
+"""
+
+    def child(self, *argv):
+        return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": self.SRC}, timeout=60)
+
+    def loaded(self, *argv):
+        proc = self.child("-c", self.LOADED, json.dumps([*argv, "--no-banner"]))
+        code, modules = json.loads(proc.stdout.splitlines()[-1])
+        return code, set(modules)
+
+    @pytest.mark.parametrize("argv, want_code, want", [
+        (("check", "--context", YZ, "-t", "y"), 0, {"terms"}),
+        (("check", "--context", YZ, "-t", "pch[p](y, z)"), EX_DATAERR, {"terms"}),
+        (("decide", "--context", YZ, "-t", APPENDIX_ONE, "-t", APPENDIX_TWO), 1,
+         {"terms", "normalizer", "decide"}),
+        (("normalize", "--context", YZ, "-t", APPENDIX_ONE), 0, {"terms", "normalizer"}),
+        (("normalize", "--context", YZ), EX_USAGE, {"terms", "normalizer"}),
+        (("eval", "--context", "params: - ; vars: x:1", "-t", "nu[1,1]p.x(p)",
+          "-a", "f_x(a) = a"), 0, {"terms", "normalizer", "poly", "semantics"}),
+        (("simulate", "--context", YZ, "-t", "y", "--trials", "10"), 0,
+         {"terms", "normalizer", "simulate"}),
+    ], ids=["check", "check-parse-error", "decide", "normalize", "usage", "eval", "simulate"])
+    def test_command_loads_only_its_modules(self, argv, want_code, want):
+        code, modules = self.loaded(*argv)
+        assert code == want_code
+        assert modules == {"betabern.cli", *(f"betabern.{m}" for m in want)}
+
+    def test_usage_error_loads_no_command_module(self):
+        code, modules = self.loaded("bogus")
+        assert code == EX_USAGE
+        assert modules == {"betabern.cli", "betabern.terms"}
+
+    @pytest.mark.parametrize("argv, stderr", [
+        (("eval", "--context", "params: - ; vars: x:1", "-t", "nu[1,1]p.x(p)", "-a", "garbage"),
+         "error: argument 'garbage' needs the form 'f_<var>(formals) = poly'\n"),
+        (("replay", "--context", YZ, "--start", "y", "--end", "y", "--steps", "STEPS"),
+         "error: derivation line 1: unknown axiom 'Nope'\n"),
+    ], ids=["PolyError", "AxiomError"])
+    def test_errors_of_lazily_loaded_modules_exit_65(self, tmp_path, argv, stderr):
+        steps = tmp_path / "steps.txt"
+        steps.write_text("Nope lr path=.\n")
+        argv = [str(steps) if arg == "STEPS" else arg for arg in argv]
+        proc = self.child("-m", "betabern.cli", *argv, "--no-banner")
+        assert proc.returncode == EX_DATAERR
+        assert proc.stdout == ""
+        assert proc.stderr == stderr

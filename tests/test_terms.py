@@ -375,6 +375,14 @@ class TestRepr:
     def test_repr(self, term, text):
         assert repr(term) == text
 
+    def test_repr_of_deep_chain(self):
+        # deeper than the recursion limit: pytest's failure output and any
+        # ``!r`` message print such terms
+        depth = 3000
+        t = parse_term("rch[1,2](z, " * depth + "y" + ")" * depth, YZ)
+        want = "RatioChoice(1, 2, VarApp('z', ()), " * depth + "VarApp('y', ())" + ")" * depth
+        assert repr(t) == want
+
 
 class TestAlpha:
     def test_pure_renaming(self):
