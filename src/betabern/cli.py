@@ -49,32 +49,35 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="betabern", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--context", help='context, e.g. "params: p ; vars: x:2, y:0"')
-    common.add_argument("-t", "--term", action="append", default=[],
-                        help="inline term (repeatable)")
-    common.add_argument("--term-file", action="append", default=[],
-                        help="file holding one term (repeatable)")
-    common.add_argument("--format", choices=("text", "structured"), default="text")
-    common.add_argument("--no-banner", action="store_true",
-                        help="suppress the version banner")
+    # each command takes only the options it reads
+    base = argparse.ArgumentParser(add_help=False)
+    base.add_argument("--context", help='context, e.g. "params: p ; vars: x:2, y:0"')
+    base.add_argument("--no-banner", action="store_true",
+                      help="suppress the version banner")
+    terms = argparse.ArgumentParser(add_help=False, parents=[base])
+    terms.add_argument("-t", "--term", action="append", default=[],
+                       help="inline term (repeatable)")
+    terms.add_argument("--term-file", action="append", default=[],
+                       help="file holding one term (repeatable)")
+    formatted = argparse.ArgumentParser(add_help=False, parents=[terms])
+    formatted.add_argument("--format", choices=("text", "structured"), default="text")
 
-    sub.add_parser("check", parents=[common], help="well-formedness diagnostics")
-    sub.add_parser("normalize", parents=[common], help="print the unique normal form")
+    sub.add_parser("check", parents=[terms], help="well-formedness diagnostics")
+    sub.add_parser("normalize", parents=[formatted], help="print the unique normal form")
 
-    p_decide = sub.add_parser("decide", parents=[common], help="decide equality")
+    p_decide = sub.add_parser("decide", parents=[formatted], help="decide equality")
     p_decide.add_argument("--corpus", help="directory of .bbt files, two terms each")
 
-    p_eval = sub.add_parser("eval", parents=[common], help="evaluate on polynomial arguments")
+    p_eval = sub.add_parser("eval", parents=[terms], help="evaluate on polynomial arguments")
     p_eval.add_argument("-a", "--arg", action="append", default=[],
                         help='argument, e.g. "f_x(a,b) = a*b + 1/2" (repeatable)')
 
-    p_replay = sub.add_parser("replay", parents=[common], help="check a recorded derivation")
+    p_replay = sub.add_parser("replay", parents=[base], help="check a recorded derivation")
     p_replay.add_argument("--start", required=True, help="starting term")
     p_replay.add_argument("--end", required=True, help="expected final term")
     p_replay.add_argument("--steps", required=True, help="derivation file")
 
-    p_sim = sub.add_parser("simulate", parents=[common], help="Monte-Carlo vs exact distribution")
+    p_sim = sub.add_parser("simulate", parents=[terms], help="Monte-Carlo vs exact distribution")
     p_sim.add_argument("--impl", choices=("polya", "betabern"), default="polya")
     p_sim.add_argument("--trials", type=int, default=100000)
     p_sim.add_argument("--seed", type=int, default=0)

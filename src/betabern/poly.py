@@ -138,51 +138,6 @@ class Poly:
         i = self.vars.index(name)
         return max((e[i] for e in self.terms), default=0)
 
-    def compose_monomials(self, formals: tuple[str, ...], actuals: tuple[str, ...]) -> Poly:
-        """Rename variables positionally via ``formals -> actuals``.
-
-        Repeated actual names merge exponents (the diagonal substitution).
-        """
-        if len(formals) != len(actuals):
-            raise PolyError("formal/actual length mismatch")
-        mapping = dict(zip(formals, actuals))
-        missing = [v for v in self.vars if v not in mapping]
-        if missing:
-            raise PolyError(f"polynomial uses undeclared formals {missing}")
-        targets = tuple(sorted(set(actuals)))
-        pos = {v: i for i, v in enumerate(targets)}
-        where = [pos[mapping[v]] for v in self.vars]
-        width = len(targets)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in self.terms.items():
-            key = [0] * width
-            for e, target in zip(exps, where):
-                key[target] += e
-            _accumulate(out, tuple(key), coeff)
-        return _drop_unused(targets, out)
-
-    def integrate_out(self, name: str, moment) -> Poly:
-        """Integrate a variable away, monomial by monomial.
-
-        ``moment(e)`` must return the exact value of the integral of
-        ``name**e`` under the intended measure; it is called once per
-        distinct exponent.
-        """
-        if name not in self.vars:
-            return self.scale(moment(0))
-        i = self.vars.index(name)
-        rest = self.vars[:i] + self.vars[i + 1:]
-        moments: dict[int, Fraction] = {}
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in self.terms.items():
-            e = exps[i]
-            m = moments.get(e)
-            if m is None:
-                m = moments[e] = Fraction(moment(e))
-            if m:
-                _accumulate(out, exps[:i] + exps[i + 1:], coeff * m)
-        return _drop_unused(rest, out)
-
     def eval(self, values: dict[str, Fraction]) -> Fraction:
         missing = [v for v in self.vars if v not in values]
         if missing:
@@ -314,10 +269,17 @@ def parse_poly(src: str, allowed_vars=None) -> Poly:
             advance()
             if peek()[0] != "nat":
                 fail("expected an exponent")
-            e = int(advance()[1])
+            text = advance()[1]
+            e = int(text)
+            if e >> 32:
+                raise PolyError(f"exponent {text} is 2^32 or more")
             out = Poly.const(1)
-            for _ in range(e):
-                out = out * base
+            while e:  # by repeated squaring
+                if e & 1:
+                    out = out * base
+                e >>= 1
+                if e:
+                    base = base * base
             return out
         return base
 

@@ -12,19 +12,20 @@ arguments everything stays inside exact rational arithmetic:
 The module also provides the Bernstein basis machinery used by normal
 forms, a linear-independence check for chain functionals, and the inverse
 direction: synthesizing a term from a nonnegative Bernstein coefficient
-table.
+table, by :func:`~betabern.normalizer.reify`.
 
-Both oracles and :func:`interpret` share one evaluator, ``_Walk``, over a
-post-order list of the shared nodes; a value is one int denominator and an
-int numerator per monomial.  :func:`functional_eq` sweeps every monomial
-argument exactly, in one tagged walk per variable, and carries the
-completeness argument.  :func:`functional_eq_sampled` is a Schwartz-Zippel
-test over GF(p) for a uniform random prime p in [2^61, 2^62), drawn afresh
-(with new points and coefficients) whenever p divides a denominator
-``i+j`` or ``i+j+s``.  Reduction mod p is a ring homomorphism on the
-rationals with p-free denominators, so equal terms are never reported
-unequal; a difference is missed with probability below the 1/(2^30-1) of
-one draw over the rationals (the bound is stated at the function).
+Both oracles, :func:`interpret` and, through it, the chain functionals
+share one evaluator, ``_Walk``, over a post-order list of the shared
+nodes; a value is one int denominator and an int numerator per monomial.
+:func:`functional_eq` sweeps every monomial argument exactly, in one
+tagged walk per variable, and carries the completeness argument.
+:func:`functional_eq_sampled` is a Schwartz-Zippel test over GF(p) for a
+uniform random prime p in [2^61, 2^62), drawn afresh (with new points and
+coefficients) whenever p divides a denominator ``i+j`` or ``i+j+s``.
+Reduction mod p is a ring homomorphism on the rationals with p-free
+denominators, so equal terms are never reported unequal; a difference is
+missed with probability below the 1/(2^30-1) of one draw over the
+rationals (the bound is stated at the function).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
 
-from .normalizer import Chain, NormalForm, TreeDiagram, multichoice
+from .normalizer import Chain, NormalForm, reify
 from .poly import Poly, PolyError, monomial
 from .terms import (
     Context,
@@ -461,11 +462,9 @@ def indicator_args(ctx: Context, var: str) -> dict[str, FuncArg]:
 # Chain functionals and explicit normal-form semantics.
 
 
-_BOUND_PREFIX = "_q"
-
-
 def chain_functional(ctx: Context, chain: Chain, arg: FuncArg) -> Poly:
-    """Value of a chain on one polynomial argument for its variable.
+    """Value of a chain on one polynomial argument for its variable: its
+    term, interpreted with ``arg`` for the variable and zero elsewhere.
 
     Free argument positions stay symbolic; bound positions are integrated
     against their Beta distributions (repeated positions multiply first).
@@ -474,14 +473,7 @@ def chain_functional(ctx: Context, chain: Chain, arg: FuncArg) -> Poly:
         raise TermError(
             f"argument has {len(arg.formals)} formals but the chain variable "
             f"takes {len(chain.argmap)}")
-    actuals = tuple(
-        ctx.params[idx - 1] if tag == "F" else f"{_BOUND_PREFIX}{idx}"
-        for tag, idx in chain.argmap)
-    value = arg.poly.compose_monomials(arg.formals, actuals) if actuals else arg.poly
-    for b, hyper in enumerate(chain.binders, start=1):
-        value = value.integrate_out(f"{_BOUND_PREFIX}{b}",
-                                    lambda e, h=hyper: beta_moment(h, e))
-    return value
+    return interpret(ctx, chain.to_term(ctx), {**zero_args(ctx), chain.var: arg})
 
 
 def interpret_normalform(nf: NormalForm, args: dict[str, FuncArg]) -> Poly:
@@ -590,7 +582,9 @@ def chain_rank_check(ctx: Context, chains, points: dict[str, Fraction] | None = 
 
 def term_from_bernstein(ctx: Context, k: int, coeffs) -> Term:
     """Build the depth-k diagram whose leaf ``I`` is the multichoice over
-    the (arity-0) variables with weights ``coeffs[I]``.
+    the (arity-0) variables with weights ``coeffs[I]``: the :func:`reify`
+    of the normal form whose chains are the bare variables.  Each leaf's
+    weights over the lcm of their reduced denominators are coprime.
 
     Requires nonnegative rational coefficients with unit sums per leaf;
     interpreting the result reproduces sum_I w_Ij b[I,k] for each variable.
@@ -611,10 +605,9 @@ def term_from_bernstein(ctx: Context, k: int, coeffs) -> Term:
         if sum(vec) != 1:
             raise TermError(f"leaf {index} weights sum to {sum(vec)}, expected 1")
         denom = lcm(*(c.denominator for c in vec))
-        ints = [int(c * denom) for c in vec]
-        leaves[index] = multichoice(
-            [(w, VarApp(name)) for w, name in zip(ints, names) if w])
-    return TreeDiagram(ctx.params, k, leaves).to_term()
+        leaves[index] = tuple(int(c * denom) for c in vec)
+    chains = tuple(Chain((), name, ()) for name in names)
+    return reify(NormalForm(ctx, k, 2, chains, leaves))
 
 
 # ---------------------------------------------------------------------------

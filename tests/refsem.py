@@ -34,7 +34,7 @@ def _interp(t: Term, args: dict[str, FuncArg], memo: dict[int, Poly]) -> Poly:
         arg = args[t.var]
         if len(arg.formals) != len(t.args):
             raise TermError(f"arity mismatch at {t}")
-        out = arg.poly if not t.args else arg.poly.compose_monomials(arg.formals, t.args)
+        out = arg.poly if not t.args else _compose(arg.poly, arg.formals, t.args)
     elif isinstance(t, RatioChoice):
         wl, wr = _ratio_weights(t.i, t.j)
         out = _interp(t.left, args, memo).scale(wl) + _interp(t.right, args, memo).scale(wr)
@@ -44,11 +44,37 @@ def _interp(t: Term, args: dict[str, FuncArg], memo: dict[int, Poly]) -> Poly:
         out = right + Poly.var(t.param) * diff if diff.terms else right
     elif isinstance(t, Nu):
         body = _interp(t.body, args, memo)
-        out = body.integrate_out(t.param, lambda e: _moment(t.i, t.j, e))
+        out = _integrate_out(body, t.param, lambda e: _moment(t.i, t.j, e))
     else:
         raise TermError(f"not a term: {t!r}")
     memo[id(t)] = out
     return out
+
+
+def _compose(p: Poly, formals: tuple[str, ...], actuals: tuple[str, ...]) -> Poly:
+    """``p`` with formal number s renamed to actual number s; a repeated
+    actual adds the exponents of its formals (the diagonal substitution)."""
+    rename = dict(zip(formals, actuals))
+    targets = sorted(set(actuals))
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for exps, coeff in p.terms.items():
+        key = [0] * len(targets)
+        for e, v in zip(exps, p.vars):
+            key[targets.index(rename[v])] += e
+        terms[tuple(key)] = terms.get(tuple(key), 0) + coeff
+    return Poly.make(targets, terms)
+
+
+def _integrate_out(p: Poly, name: str, moment) -> Poly:
+    """``p`` with ``name^e`` replaced by ``moment(e)`` in every monomial."""
+    if name not in p.vars:
+        return p.scale(moment(0))
+    i = p.vars.index(name)
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for exps, coeff in p.terms.items():
+        key = exps[:i] + (0,) + exps[i + 1:]
+        terms[key] = terms.get(key, 0) + coeff * moment(exps[i])
+    return Poly.make(p.vars, terms)
 
 
 def _ratio_weights(i: int, j: int) -> tuple[Fraction, Fraction]:

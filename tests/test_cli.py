@@ -21,6 +21,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def spawn(*argv):
+    """One CLI call in a fresh interpreter, as users run it."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-m", "betabern.cli", *argv, "--no-banner"],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 class TestBasics:
     def test_usage_error_without_command(self, capsys):
         code, _, err = run(capsys)
@@ -173,6 +181,39 @@ class TestEval:
                              "--no-banner")
         assert code == EX_USAGE and out == ""
         assert "repeated --arg" in err and "Traceback" not in err
+
+
+    def test_huge_exponent_refused_while_parsing(self):
+        # expanding a^(10^11) would not finish; the parser refuses it first
+        proc = spawn("eval", "--context", "params: - ; vars: x:1", "-t", "nu[1,1]p.x(p)",
+                     "-a", "f_x(a) = a^100000000000")
+        assert proc.returncode == EX_DATAERR and proc.stdout == ""
+        assert proc.stderr == "error: exponent 100000000000 is 2^32 or more\n"
+
+    def test_large_exponent_on_binder_free_term(self, capsys):
+        code, out, _ = run(capsys, "eval", "--context", "params: q ; vars: x:1", "-t", "x(q)",
+                           "-a", "f_x(a) = 1/2*a^1000000 - a^3", "--no-banner")
+        assert code == 0 and out == "1/2*q^1000000 - q^3\n"
+
+
+class TestOptions:
+    @pytest.mark.parametrize("argv", [
+        ("check", "--context", YZ, "-t", "y", "--format", "structured"),
+        ("eval", "--context", YZ, "-t", "y", "-a", "f_y = 1", "-a", "f_z = 0",
+         "--format", "text"),
+        ("replay", "--context", YZ, "--start", "y", "--end", "y", "--steps", os.devnull,
+         "-t", "nonsense(("),
+        ("replay", "--context", YZ, "--start", "y", "--end", "y", "--steps", os.devnull,
+         "--term-file", os.devnull),
+        ("replay", "--context", YZ, "--start", "y", "--end", "y", "--steps", os.devnull,
+         "--format", "text"),
+        ("simulate", "--context", YZ, "-t", "y", "--trials", "10", "--format", "structured"),
+    ], ids=["check-format", "eval-format", "replay-term", "replay-term-file",
+            "replay-format", "simulate-format"])
+    def test_unread_option_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--no-banner")
+        assert code == EX_USAGE and out == ""
+        assert err.startswith("usage error: unrecognized arguments: ")
 
 
 class TestNonAsciiInput:
@@ -366,13 +407,7 @@ class TestDeepInput:
             terms = ["--start", deep, "--end", deep]
         else:
             terms = ["-t", deep] * (2 if command == "decide" else 1)
-        return self.spawn(command, "--context", self.CONTEXT, *terms, *argv)
-
-    def spawn(self, *argv):
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = {**os.environ, "PYTHONPATH": src}
-        return subprocess.run([sys.executable, "-m", "betabern.cli", *argv, "--no-banner"],
-                              capture_output=True, text=True, env=env, timeout=60)
+        return spawn(command, "--context", self.CONTEXT, *terms, *argv)
 
     def assert_decided(self, command, depth):
         # the chain reaches y with probability (2/3)^depth
@@ -421,14 +456,14 @@ class TestDeepInput:
         # renames q to p through the whole right branch
         steps = tmp_path / "steps.txt"
         steps.write_text(step + "\n")
-        proc = self.spawn("replay", "--context", self.CONTEXT, "--start", start, "--end", end,
+        proc = spawn("replay", "--context", self.CONTEXT, "--start", start, "--end", end,
                           "--steps", str(steps))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "derivation ok\n"
 
     def test_eval_deep_argument_blames_the_polynomial(self):
         poly = "(" * 3000 + "a" + ")" * 3000
-        proc = self.spawn("eval", "--context", "params: - ; vars: x:1", "-t", "nu[1,1]p.x(p)",
+        proc = spawn("eval", "--context", "params: - ; vars: x:1", "-t", "nu[1,1]p.x(p)",
                           "-a", f"f_x(a) = {poly}")
         assert proc.returncode == EX_DATAERR
         assert proc.stdout == ""
