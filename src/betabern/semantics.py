@@ -46,6 +46,7 @@ from .terms import (
     Term,
     TermError,
     VarApp,
+    postorder,
 )
 
 
@@ -174,7 +175,7 @@ def interpret(ctx: Context, t: Term, args: dict[str, FuncArg]) -> Poly:
     _check_args(ctx, args)
     walk = _Walk()
     walk.load(args)
-    (den, nums), = walk.run(_postorder(t), t)
+    (den, nums), = walk.run(postorder(t), t)
     names = tuple(walk.slots)
     shifts = tuple(walk.slots.values())
     return Poly.make(names, {tuple(m >> s & _SLOT_MASK for s in shifts): Fraction(c, den)
@@ -214,7 +215,7 @@ class _Walk:
         self.powers = {name: [1, x] for name, x in (points or {}).items()}
         self.slots: dict[str, int] = {}
         self.weights: dict[tuple[int, int], tuple[int, int, int]] = {}
-        self.moments: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        self.moments: dict[tuple[int, int], dict[int, tuple[int, int]]] = {}
         self.args: dict[str, tuple] = {}
         self.apps: dict[tuple, tuple] = {}
 
@@ -243,7 +244,7 @@ class _Walk:
 
     def run(self, order: list[Term], *roots: Term) -> list[tuple]:
         """The values of ``roots``, from one pass over the nodes under them
-        in ``order`` (from :func:`_postorder`).  A node's value ignores its
+        in ``order`` (from :func:`postorder`).  A node's value ignores its
         surroundings, so a shared subterm is evaluated once."""
         memo: dict[int, tuple] = {}
         for node in order:
@@ -350,13 +351,20 @@ class _Walk:
         return w
 
     def integrate(self, node: Nu, body: tuple) -> tuple:
+        i, j = node.i, node.j
+        moments = self.moments.get((i, j))
+        if moments is None:
+            if i < 1 or j < 1:
+                raise TermError(f"beta hyperparameters must be positive, got ({i},{j})")
+            moments = self.moments[(i, j)] = {}
         den, nums = body
         shift = self.slots.get(node.param)
         exps = [m >> shift & _SLOT_MASK for m in nums] if shift else None
-        top = max(exps) if exps else 0
-        moments = self.beta_moments(node.i, node.j, top)
-        if not top:  # the parameter occurs nowhere in the body
+        if not exps or not max(exps):  # the parameter occurs nowhere in the body
             return body
+        for e in exps:
+            if e not in moments:
+                moments[e] = self.moment(i, j, e)
         p = self.p  # over GF(p) every moment is over 1; else over their lcm
         scale = 1 if p else lcm(*{moments[e][1] for e in exps})
         out: dict[int, int] = {}
@@ -365,57 +373,22 @@ class _Walk:
             _add(out, m - (e << shift), v * num * (scale // d), p)
         return den * scale, out
 
-    def beta_moments(self, i: int, j: int, top: int) -> list[tuple[int, int]]:
-        """E[q^0..q^top] (at least) under Beta(i, j), E[q^e] =
-        prod_{s<e} (i+s)/(i+j+s) as ``(num, den)`` in lowest terms; over
-        GF(p) as a residue over 1."""
-        moments = self.moments.get((i, j))
-        if moments is None:
-            if i < 1 or j < 1:
-                raise TermError(f"beta hyperparameters must be positive, got ({i},{j})")
-            moments = self.moments[(i, j)] = [(1, 1)]
-        p = self.p
-        while len(moments) <= top:
-            s = len(moments) - 1
-            num, den = moments[-1]
-            num, den = num * (i + s), den * (i + j + s)
-            if not p:
-                g = gcd(num, den)
-                num, den = num // g, den // g
-            elif den % p:
-                num, den = num * pow(den, -1, p) % p, 1
-            else:
-                raise _Redraw
-            moments.append((num, den))
-        return moments
-
-
-_DONE = object()  # _postorder's stack marker: the node below it is complete
-
-
-def _postorder(*roots: Term) -> list[Term]:
-    """Every node under ``roots`` once, children before parents."""
-    out: list[Term] = []
-    seen: set[int] = set()
-    stack: list = list(reversed(roots))
-    while stack:
-        node = stack.pop()
-        if node is _DONE:
-            out.append(stack.pop())
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        kind = type(node)
-        if kind is RatioChoice or kind is ParamChoice:
-            stack += (node, _DONE, node.right, node.left)
-        elif kind is Nu:
-            stack += (node, _DONE, node.body)
-        elif kind is VarApp:
-            out.append(node)
+    def moment(self, i: int, j: int, e: int) -> tuple[int, int]:
+        """E[q^e] under Beta(i, j) as ``(num, den)`` in lowest terms; over
+        GF(p) as a residue over 1.  Of the two products for it,
+        prod_{s<e} (i+s)/(i+j+s) and prod_{s<j} (i+s)/(i+e+s), the shorter
+        is taken, so a large exponent costs ``j`` factors."""
+        if e <= j:
+            num, den = prod(range(i, i + e)), prod(range(i + j, i + j + e))
         else:
-            raise TermError(f"not a term: {node!r}")
-    return out
+            num, den = prod(range(i, i + j)), prod(range(i + e, i + e + j))
+        p = self.p
+        if not p:
+            g = gcd(num, den)
+            return num // g, den // g
+        if den % p:
+            return num * pow(den, -1, p) % p, 1
+        raise _Redraw
 
 
 def _add(out: dict, m: int, v, p: int) -> None:
@@ -636,7 +609,7 @@ def _sweep_degree(order: list[Term]) -> int:
 
 def functional_eq(ctx: Context, t: Term, u: Term, degree: int | None = None) -> bool:
     """Exhaustive monomial-basis comparison of the two denotations."""
-    order = _postorder(t, u)  # shared: rewrites reuse subterms
+    order = postorder(t, u)  # shared: rewrites reuse subterms
     if degree is None:
         degree = _sweep_degree(order)
     walk = _Walk()
@@ -675,9 +648,11 @@ def functional_eq_sampled(ctx: Context, t: Term, u: Term, rng,
     uniform draw from [0, 2^61) for each free parameter and for an offset
     added to each argument coefficient.  Values are polynomials in the
     bound parameters in scope with coefficients in GF(p); ratio weights and
-    Beta moments use modular inverses.  If a denominator ``i+j`` or
-    ``i+j+s`` is 0 mod p, the whole draw (prime, points, offsets) is made
-    again, so every value is the image of the exact one.
+    Beta moments use modular inverses.  If a denominator used is 0 mod p,
+    the whole draw (prime, points, offsets) is made again, so every value
+    is the image of the exact one: a ratio weight's ``i+j``, or a factor
+    of the moment E[q^e] under Beta(i, j), which is ``i+j+s`` for ``s < e``
+    when ``e <= j`` and ``i+e+s`` for ``s < j`` when ``e > j``.
 
     Equal terms are never reported unequal: with p-free denominators,
     reduction mod p is a ring homomorphism from those rationals onto GF(p),
@@ -695,7 +670,7 @@ def functional_eq_sampled(ctx: Context, t: Term, u: Term, rng,
     Terms must be well-formed in ``ctx``: names not in ``ctx.params`` are
     taken for bound ones.
     """
-    order = _postorder(t, u)
+    order = postorder(t, u)
     if degree is None:
         degree = _sweep_degree(order)
     args = random_poly_args(ctx, rng, degree)

@@ -127,14 +127,52 @@ class Term:
             stack += reversed(parts)
         return "".join(out)
 
+    def __eq__(self, other):
+        """Same class and equal fields, compared with an explicit stack; a
+        pair of nodes met again through shared subterms is compared once."""
+        if type(other) is not type(self):
+            return NotImplemented
+        done: set[tuple[int, int]] = set()
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b):
+                return False
+            data, kids = _parts(a)
+            data_b, kids_b = _parts(b)
+            if data != data_b:
+                return False
+            if kids and (id(a), id(b)) not in done:
+                done.add((id(a), id(b)))
+                stack += zip(kids, kids_b)
+        return True
 
-@dataclass(frozen=True, repr=False)
+    def __hash__(self):
+        """A hash of the class and fields, built bottom-up once per node
+        object."""
+        hashes: dict[int, int] = {}
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            data, kids = _parts(node)
+            todo = [k for k in kids if id(k) not in hashes]
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            hashes[id(node)] = hash((type(node), data, tuple([hashes[id(k)] for k in kids])))
+        return hashes[id(self)]
+
+
+@dataclass(frozen=True, repr=False, eq=False)
 class VarApp(Term):
     var: str
     args: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class RatioChoice(Term):
     i: int
     j: int
@@ -142,19 +180,63 @@ class RatioChoice(Term):
     right: Term
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class ParamChoice(Term):
     param: str
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class Nu(Term):
     i: int
     j: int
     param: str
     body: Term
+
+
+def _parts(t: Term) -> tuple[tuple, tuple]:
+    """A node's own fields and its subterms."""
+    cls = type(t)
+    if cls is VarApp:
+        return (t.var, t.args), ()
+    if cls is Nu:
+        return (t.i, t.j, t.param), (t.body,)
+    if cls is RatioChoice:
+        return (t.i, t.j), (t.left, t.right)
+    if cls is ParamChoice:
+        return (t.param,), (t.left, t.right)
+    # not a node: a bare Term is compared and hashed by identity, any
+    # other object as a value
+    return ((id(t),) if isinstance(t, Term) else (t,)), ()
+
+
+_DONE = object()  # postorder's stack marker: the node below it is complete
+
+
+def postorder(*roots: Term) -> list[Term]:
+    """Every node under ``roots`` once, children before parents."""
+    out: list[Term] = []
+    seen: set[int] = set()
+    stack: list = list(reversed(roots))
+    while stack:
+        node = stack.pop()
+        if node is _DONE:
+            out.append(stack.pop())
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        kind = type(node)
+        if kind is RatioChoice or kind is ParamChoice:
+            stack += (node, _DONE, node.right, node.left)
+        elif kind is Nu:
+            stack += (node, _DONE, node.body)
+        elif kind is VarApp:
+            out.append(node)
+        else:
+            raise TermError(f"not a term: {node!r}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +371,21 @@ def check_wellformed(ctx: Context, t: Term) -> list[Violation]:
 
     An empty list means the term is well-formed in ``ctx``.  One walk with
     an explicit stack; a node's path is kept as a link to its parent's until
-    a violation spells it out.
+    a violation spells it out.  A choice node object reached again in the
+    same binder scope, with no violation found so far, is not walked again:
+    its first walk found none, so a term that shares subterms (a reified
+    normal form) is checked in time linear in its distinct nodes.
     """
     out: list[tuple] = []
     arity = dict(ctx.vars)
     scope = set(ctx.params)
+    here, opened, outer = 0, 0, []  # serial numbers of the open binder scopes
+    seen: dict[int, int] = {}  # choice node id -> scope it was walked in
     stack: list = [(t, ())]
     while stack:
         t, link = stack.pop()
-        if isinstance(t, VarApp):
+        cls = type(t)
+        if cls is VarApp:
             m = arity.get(t.var)
             if m is None:
                 out.append((link, f"unknown variable {t.var!r}"))
@@ -306,27 +394,33 @@ def check_wellformed(ctx: Context, t: Term) -> list[Violation]:
             for a in t.args:
                 if a not in scope:
                     out.append((link, f"parameter {a!r} not in scope"))
-        elif isinstance(t, RatioChoice):
-            if t.i < 0 or t.j < 0:
-                out.append((link, "ratio weights must be nonnegative"))
-            if t.i + t.j <= 0:
-                out.append((link, "ratio choice needs total weight i+j > 0"))
-            stack += ((t.right, (link, "r")), (t.left, (link, "l")))
-        elif isinstance(t, ParamChoice):
-            if t.param not in scope:
+        elif cls is RatioChoice or cls is ParamChoice:
+            if seen.get(id(t)) == here and not out:
+                continue
+            seen[id(t)] = here
+            if cls is RatioChoice:
+                if t.i < 0 or t.j < 0:
+                    out.append((link, "ratio weights must be nonnegative"))
+                if t.i + t.j <= 0:
+                    out.append((link, "ratio choice needs total weight i+j > 0"))
+            elif t.param not in scope:
                 out.append((link, f"parameter {t.param!r} not in scope"))
             stack += ((t.right, (link, "r")), (t.left, (link, "l")))
-        elif isinstance(t, Nu):
+        elif cls is Nu:
             if t.i < 1 or t.j < 1:
                 out.append((link, f"nu hyperparameters must be positive, got ({t.i},{t.j})"))
             if t.param in scope or t.param in arity:
                 out.append((link, f"binder {t.param!r} rebinds a name in scope"))
             if t.param not in scope:  # in scope for the body only
                 scope.add(t.param)
+                outer.append(here)
+                opened += 1
+                here = opened
                 stack.append((_LEAVE, t.param))
             stack.append((t.body, (link, "b")))
         elif t is _LEAVE:
             scope.remove(link)
+            here = outer.pop()
         else:
             out.append((link, f"not a term: {t!r}"))
     return [Violation(_spell(link), message) for link, message in out]

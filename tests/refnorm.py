@@ -1,6 +1,6 @@
 """Reference stages 1-4, written the long way as the definitions read.
 
-``betabern.normalizer._LeafWalk`` does stages 1-4 in one walk of the
+``betabern.normalizer._LeafWalk`` does stages 1-4 in one fold of the
 checked term, building no term.  ``betabern.normalizer`` also keeps
 stages 1 and 2 as term rewrites: ``push_nu_to_leaves`` pushes binders in
 one top-down walk that carries them to the leaves, and ``raise_level``

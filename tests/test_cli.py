@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from math import gcd
 
 import pytest
@@ -189,6 +190,15 @@ class TestEval:
                      "-a", "f_x(a) = a^100000000000")
         assert proc.returncode == EX_DATAERR and proc.stdout == ""
         assert proc.stderr == "error: exponent 100000000000 is 2^32 or more\n"
+
+    def test_huge_moment_in_closed_form(self, capsys):
+        # E[q^e] under Beta(1, 1) is 1/(e+1), one factor of the shorter
+        # product, not e of them
+        started = time.time()
+        code, out, _ = run(capsys, "eval", "--context", "params: - ; vars: x:1",
+                           "-t", "nu[1,1]p.x(p)", "-a", "f_x(a) = a^10000000", "--no-banner")
+        assert code == 0 and out == "1/10000001\n"
+        assert time.time() - started < 2.0
 
     def test_large_exponent_on_binder_free_term(self, capsys):
         code, out, _ = run(capsys, "eval", "--context", "params: q ; vars: x:1", "-t", "x(q)",

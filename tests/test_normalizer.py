@@ -33,7 +33,7 @@ from betabern.normalizer import (
     validate_normal_form,
 )
 from betabern.semantics import functional_eq, functional_eq_sampled
-from betabern.terms import TermError, check_wellformed, free_params
+from betabern.terms import TermError, check_wellformed, format_term, free_params
 from refnorm import chain_distribution, collect_chains, level_and_depth, stratify
 from refnorm import push_nu_to_leaves as reference_push
 from termgen import CONTEXTS, gen_term, rewrite_chain
@@ -447,6 +447,72 @@ class TestDeepChains:
         assert not equal(YZ, t, RatioChoice(y, total - y + 1, VarApp("y"), VarApp("z"))).equal
         assert exact_distribution(YZ, t) == {"y": Fraction(y, total),
                                              "z": Fraction(total - y, total)}
+
+
+    @pytest.mark.parametrize("kind, y_base, total_base", [
+        ("ratio", 2, 3), ("binder", 1, 2), ("conj", 1, 2)])
+    def test_thirty_thousand_levels(self, kind, y_base, total_base):
+        # one merge per level: no per-path denominator, and unused binders
+        # cost nothing while they wait above the chain
+        depth = 30000
+        t = self.chain(kind, depth)
+        started = time.time()
+        nf = normalize(YZ, t)
+        elapsed = time.time() - started
+        y, total = y_base ** depth, total_base ** depth
+        assert nf.weights[()] == (y, total - y)
+        assert elapsed < 5.0, f"{kind} chain {depth} deep took {elapsed:.1f}s"
+
+
+class TestSharedNodes:
+    """The fold memoises a shared choice node per pending binders it uses;
+    the forms match those of the same term with nothing shared."""
+
+    @staticmethod
+    def spine(ell, per_param=4):
+        # a right comb of per_param bias choices on each parameter,
+        # interleaved, with a ratio choice every third node
+        params = tuple(f"p{a + 1}" for a in range(ell))
+        ctx = parse_context(f"params: {', '.join(params)} ; vars: x:2, y:1, z:0")
+        rng = random.Random(5)
+
+        def leaf():
+            var = rng.choice("xyz")
+            return VarApp(var, tuple(rng.choice(params) for _ in range("zyx".index(var))))
+
+        picks = [p for p in params for _ in range(per_param)]
+        rng.shuffle(picks)
+        t = leaf()
+        for pos, p in enumerate(picks):
+            t = ParamChoice(p, leaf(), t) if pos % 2 else ParamChoice(p, t, leaf())
+            if pos % 3 == 2:
+                t = RatioChoice(1 + pos % 3, 2, leaf(), t)
+        return ctx, t
+
+    def test_reified_five_parameter_spine(self):
+        ctx, t = self.spine(5)
+        nf = normalize(ctx, t)
+        assert nf.k == 4
+        reified = reify(nf)
+        started = time.time()
+        again = normalize(ctx, reified)
+        elapsed = time.time() - started
+        assert again == nf
+        assert elapsed < 1.0, f"re-normalizing took {elapsed:.2f}s"
+
+    def test_shared_under_used_and_unused_binders(self):
+        ctx = parse_context("params: - ; vars: x:1, y:0, z:0")
+        x_q = VarApp("x", ("q",))
+        shared = ParamChoice("q", x_q, RatioChoice(1, 2, VarApp("y"), x_q))
+        # reached under p, which it does not use, with q at (1,2) twice and
+        # at (2,2) and (1,3) once each
+        below_p = ParamChoice("q", shared, RatioChoice(1, 1, shared, VarApp("z")))
+        t = Nu(1, 2, "q", RatioChoice(2, 1, Nu(3, 1, "p", ParamChoice("p", shared, below_p)),
+                                      shared))
+        assert check_wellformed(ctx, t) == []
+        unshared = parse_term(format_term(t), ctx)
+        assert normalize(ctx, t) == normalize(ctx, unshared)
+        assert validate_normal_form(normalize(ctx, t)) == []
 
 
 class TestDeepReify:

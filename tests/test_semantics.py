@@ -180,6 +180,15 @@ class TestBetaMoment:
         with pytest.raises(TermError):
             beta_moment((0, 1), 1)
 
+    def test_evaluator_moments_agree(self):
+        # the evaluator takes the shorter of two products for E[q^e]: e
+        # factors while e <= j, j factors beyond
+        ctx = parse_context("params: - ; vars: x:1")
+        for i, j, e in itertools.product(range(1, 5), range(1, 5), range(13)):
+            t = parse_term(f"nu[{i},{j}]p.x(p)", ctx)
+            args = {"x": FuncArg(("a",), monomial({"a": e}))}
+            assert interpret(ctx, t, args) == Poly.const(beta_moment((i, j), e)), (i, j, e)
+
 
 class TestBernstein:
     def test_low_degree_values(self):

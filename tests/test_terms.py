@@ -23,7 +23,7 @@ from betabern import (
     parse_term,
     substitute,
 )
-from betabern.terms import all_params, rename_params, replace_at, subterm_at
+from betabern.terms import Term, all_params, rename_params, replace_at, subterm_at
 from termgen import gen_term
 
 import refterms
@@ -208,6 +208,17 @@ class TestWellformed:
         violations = check_wellformed(ctx, t)
         assert [v.path for v in violations] == [("r",)]
 
+    def test_shared_subterm_checked_in_each_scope(self):
+        # one node object under its binder and outside it, then twice with a
+        # violation of its own: each occurrence is reported at its path
+        ctx = parse_context("params: - ; vars: y:0, z:0")
+        draw = ParamChoice("q", VarApp("y"), VarApp("z"))
+        t = RatioChoice(1, 1, Nu(1, 1, "q", draw), draw)
+        assert [(v.path, v.message) for v in check_wellformed(ctx, t)] == \
+            [(("r",), "parameter 'q' not in scope")]
+        t = RatioChoice(1, 1, draw, RatioChoice(2, 1, draw, VarApp("y")))
+        assert [v.path for v in check_wellformed(ctx, t)] == [("l",), ("r", "l")]
+
     def test_unknown_variable_and_scope(self):
         ctx = parse_context("params: - ; vars: x:0")
         t = ParamChoice("q", VarApp("w"), VarApp("x"))
@@ -382,6 +393,42 @@ class TestRepr:
         t = parse_term("rch[1,2](z, " * depth + "y" + ")" * depth, YZ)
         want = "RatioChoice(1, 2, VarApp('z', ()), " * depth + "VarApp('y', ())" + ")" * depth
         assert repr(t) == want
+
+
+class TestEquality:
+    def test_same_class_and_fields(self):
+        y = VarApp("y")
+        assert RatioChoice(1, 2, y, VarApp("z")) == RatioChoice(1, 2, VarApp("y"), VarApp("z"))
+        assert RatioChoice(1, 2, y, y) != RatioChoice(2, 1, y, y)
+        assert ParamChoice("p", y, y) != RatioChoice(1, 1, y, y)
+        assert Nu(1, 1, "p", y) != Nu(1, 1, "q", y)
+        assert VarApp("x", ("p",)) != VarApp("x", ("q",)) and y != "y"
+        assert len({Nu(1, 1, "p", y), Nu(1, 1, "p", VarApp("y")), VarApp("y"), y}) == 2
+
+    def test_foreign_children(self):
+        # check_wellformed reports such terms, so they compare and hash
+        # as values instead of raising
+        z = VarApp("z")
+        assert RatioChoice(1, 1, "y", z) != RatioChoice(1, 1, "x", z)
+        assert RatioChoice(1, 1, "y", z) == RatioChoice(1, 1, "y", VarApp("z"))
+        assert hash(RatioChoice(1, 1, "y", z)) == hash(RatioChoice(1, 1, "y", VarApp("z")))
+        assert Nu(1, 1, "p", 3) != Nu(1, 1, "p", z)
+        # a bare Term, as at the parent, by identity
+        bare = Term()
+        assert bare == bare and bare != Term() and hash(bare) == hash(bare)
+        assert Nu(1, 1, "p", bare) == Nu(1, 1, "p", bare) != Nu(1, 1, "p", Term())
+
+    def test_deep_chains(self):
+        # deeper than the recursion limit: a parse against a chain built
+        # node by node, and against one that differs only at the bottom
+        depth = 100_000
+        t = parse_term("rch[1,2](z, " * depth + "y" + ")" * depth, YZ)
+        same, other = VarApp("y"), VarApp("z")
+        for _ in range(depth):
+            same = RatioChoice(1, 2, VarApp("z"), same)
+            other = RatioChoice(1, 2, VarApp("z"), other)
+        assert t == same and hash(t) == hash(same)
+        assert t != other
 
 
 class TestAlpha:
