@@ -45,9 +45,9 @@ from .terms import (
     Term,
     TermError,
     VarApp,
-    check_wellformed,
     format_term,
     postorder,
+    require_wellformed,
 )
 
 # argmap entries: ("F", g) is the g-th free parameter (1-based in the
@@ -534,10 +534,10 @@ class _LeafWalk:
     def forms(self, k: int, n: int) -> list[NormalForm]:
         """Normal forms of the walked terms at depth ``k`` and level ``n``,
         over the chains of all of them."""
-        ids: dict[Chain, int] = {}
+        ids: dict[tuple, int] = {}
         raised = [_raise_tip(tip, n, ids) for tip in self.tips]
-        chains = tuple(sorted(ids, key=Chain.sort_key))
-        cols = [ids[c] for c in chains]
+        chains = tuple(sorted([Chain(*key) for key in ids], key=Chain.sort_key))
+        cols = [ids[c.binders, c.var, c.argmap] for c in chains]
         binom = [comb(k, s) for s in range(k + 1)]
         forms = []
         for table in self.tables:
@@ -577,16 +577,17 @@ class _LeafWalk:
         return forms
 
 
-def _raise_tip(tip: tuple, n: int, ids: dict[Chain, int]) -> tuple[int, list[tuple[int, int]]]:
+def _raise_tip(tip: tuple, n: int, ids: dict[tuple, int]) -> tuple[int, list[tuple[int, int]]]:
     """A chain tip raised to level ``n``: the total weight and the
     ``(chain id, weight)`` pairs of its canonical level-``n`` chains, one
     binder mixture per binder, multiplied.  Raising changes hyperparameters
-    only, so the argument map and the first-use order stay."""
+    only, so the argument map and the first-use order stay.  ``ids`` is
+    keyed by a chain's ``(binders, var, argmap)`` tuple."""
     binders, var, argmap = tip
     pairs = []
     for combo in itertools.product(*(_binder_weights(i, j, n) for i, j in binders)):
-        chain = Chain(tuple(c[1:] for c in combo), var, argmap)
-        pairs.append((ids.setdefault(chain, len(ids)), prod([w for w, _, _ in combo])))
+        key = (tuple([c[1:] for c in combo]), var, argmap)
+        pairs.append((ids.setdefault(key, len(ids)), prod([w for w, _, _ in combo])))
     return sum(w for _, w in pairs), pairs
 
 
@@ -597,11 +598,12 @@ def _raise_tip(tip: tuple, n: int, ids: dict[Chain, int]) -> tuple[int, list[tup
 def _normal_forms(ctx: Context, terms: tuple[Term, ...], k: int | None = None,
                   n: int | None = None) -> list[NormalForm]:
     """Check and walk each term, then build all the forms at one depth
-    ``k`` and level ``n``, by default the least that fit every term."""
+    ``k`` and level ``n``, by default the least that fit every term.  The
+    check is ``require_wellformed``: a root that ``parse_term`` returned for
+    this ``ctx`` object is not walked again, any other term is walked by
+    ``check_wellformed``."""
     for t in terms:
-        bad = check_wellformed(ctx, t)
-        if bad:
-            raise TermError(f"term ill-formed: {bad[0]}")
+        require_wellformed(ctx, t)
     walk = _LeafWalk(ctx, terms)
     for name, given, least in (("level n", n, walk.n_min), ("depth k", k, walk.k_min)):
         if given is not None and given < least:

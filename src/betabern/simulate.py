@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .normalizer import normalize
-from .terms import Context, Nu, RatioChoice, Term, TermError, VarApp, check_wellformed
+from .terms import Context, Nu, RatioChoice, Term, TermError, VarApp, require_wellformed
 
 SIGNIFICANCE = 0.001
 MIN_EXPECTED = 5.0
@@ -76,9 +76,7 @@ def check_ground(ctx: Context, t: Term) -> None:
     for name, arity in ctx.vars:
         if arity:
             raise TermError(f"ground simulation needs arity 0, but {name}:{arity}")
-    bad = check_wellformed(ctx, t)
-    if bad:
-        raise TermError(f"term ill-formed: {bad[0]}")
+    require_wellformed(ctx, t)
 
 
 def _check_run(trials: int, impl: str) -> None:

@@ -10,7 +10,12 @@ A term is one of:
 Terms live in a two-zone :class:`Context`: an ordered list of free
 parameters and an ordered list of variables with arities.  Everything here
 is immutable and operations are pure functions, so terms can be shared
-freely between threads.
+freely between threads.  The nodes are frozen dataclasses with slots: a
+field cannot be assigned, and a node's ``__init__`` fills its slots through
+their descriptors.  One more slot, ``_parsed_in``, is set only on a root
+that :func:`parse_term` returns, to the context object it was parsed in;
+:func:`require_wellformed` trusts that root in that context and walks every
+other term with :func:`check_wellformed`.
 """
 
 from __future__ import annotations
@@ -106,7 +111,7 @@ class Context:
 class Term:
     """Base class for term nodes."""
 
-    __slots__ = ()
+    __slots__ = ("_parsed_in",)  # see parse_term and require_wellformed
 
     def __str__(self) -> str:
         return format_term(self)
@@ -166,33 +171,71 @@ class Term:
         return hashes[id(self)]
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+# The frozen ``__setattr__`` refuses every assignment, so a node's
+# ``__init__`` fills its slots through the descriptor setters bound below.
+
+
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class VarApp(Term):
     var: str
     args: tuple[str, ...] = ()
 
+    def __init__(self, var: str, args: tuple[str, ...] = ()):
+        set_var, set_args = _VARAPP
+        set_var(self, var)
+        set_args(self, args)
 
-@dataclass(frozen=True, repr=False, eq=False)
+
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class RatioChoice(Term):
     i: int
     j: int
     left: Term
     right: Term
 
+    def __init__(self, i: int, j: int, left: Term, right: Term):
+        set_i, set_j, set_left, set_right = _RATIO
+        set_i(self, i)
+        set_j(self, j)
+        set_left(self, left)
+        set_right(self, right)
 
-@dataclass(frozen=True, repr=False, eq=False)
+
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class ParamChoice(Term):
     param: str
     left: Term
     right: Term
 
+    def __init__(self, param: str, left: Term, right: Term):
+        set_param, set_left, set_right = _PARAM
+        set_param(self, param)
+        set_left(self, left)
+        set_right(self, right)
 
-@dataclass(frozen=True, repr=False, eq=False)
+
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class Nu(Term):
     i: int
     j: int
     param: str
     body: Term
+
+    def __init__(self, i: int, j: int, param: str, body: Term):
+        set_i, set_j, set_param, set_body = _NU
+        set_i(self, i)
+        set_j(self, j)
+        set_param(self, param)
+        set_body(self, body)
+
+
+def _slot_setters(cls) -> tuple:
+    """The ``__set__`` of each field's slot descriptor, in field order."""
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+_VARAPP, _RATIO, _PARAM, _NU = map(_slot_setters, (VarApp, RatioChoice, ParamChoice, Nu))
+_stamp = Term._parsed_in.__set__
 
 
 def _parts(t: Term) -> tuple[tuple, tuple]:
@@ -426,6 +469,21 @@ def check_wellformed(ctx: Context, t: Term) -> list[Violation]:
     return [Violation(_spell(link), message) for link, message in out]
 
 
+def require_wellformed(ctx: Context, t: Term) -> None:
+    """Raise :class:`TermError` unless ``t`` is well-formed in ``ctx``.
+
+    A root that :func:`parse_term` returned for this very ``ctx`` object is
+    taken as it is: the parser refuses every violation that
+    :func:`check_wellformed` reports, and nodes are immutable.  Any other
+    term, its subterms and copies included, is checked in full.
+    """
+    if getattr(t, "_parsed_in", None) is ctx:
+        return
+    bad = check_wellformed(ctx, t)
+    if bad:
+        raise TermError(f"term ill-formed: {bad[0]}")
+
+
 # ---------------------------------------------------------------------------
 # Alpha-equivalence: compare bound parameters by binding depth.
 
@@ -557,9 +615,17 @@ def _rewrite(t: Term, env: dict[str, str], bindings, inject: frozenset[str]) -> 
 # tokens; any other character outside these tokens is an error.  Tokens are
 # plain strings; their offsets in the text are found only to report an error.
 
-_VALID = rf"{_IDENT}|[0-9]+|[][(),.;:-]"
-_TOKEN_RE = re.compile(rf"{_VALID}|\S")
-_VALID_RE = re.compile(rf"(?:{_VALID})\Z")
+_TOKEN_RE = re.compile(rf"{_IDENT}|[0-9]+|[][(),.;:-]|\S")
+# A character no token takes: one outside every token, or an underscore
+# that no letter precedes in its run of ``[A-Za-z0-9_]`` (an identifier
+# takes the rest of its run, a numeral only digits).  The match ends at it.
+# ``_ODD_RE``, a plain character set, finds the first such character or
+# underscore; only an underscore needs the slower ``_BAD_RE``.
+_ODD_RE = re.compile(r"[^\sA-Za-z0-9\][(),.;:-]")
+_BAD_RE = re.compile(r"[^\sA-Za-z0-9_\][(),.;:-]|(?<![A-Za-z0-9_])[0-9]*_")
+# A numeral token over the limit: a digit run that starts a run of
+# ``[A-Za-z0-9_]``; a digit run inside an identifier is part of it.
+_LONG_RE = re.compile(rf"(?<![A-Za-z0-9_])[0-9]{{{MAX_NUMERAL_DIGITS + 1},}}")
 
 
 class _Cursor:
@@ -567,29 +633,31 @@ class _Cursor:
 
     A token is a string from one ``findall``, its kind read from its first
     character; ``""`` ends the list.  :meth:`fail` scans the text again for
-    the failing token's offset.  The distinct tokens are checked up front,
-    so a bad character is reported before any earlier syntax error.
+    the failing token's offset.  Two searches of the whole text come first,
+    for a bad character and then for a numeral over the limit, so these are
+    reported before any earlier syntax error.
     """
 
     def __init__(self, src: str):
         self.src = src
-        self.toks = _TOKEN_RE.findall(src)
-        distinct = set(self.toks)
-        bad = {tok for tok in distinct if not _VALID_RE.match(tok)}
+        bad = _ODD_RE.search(src)
+        if bad and bad.group() == "_":
+            bad = _BAD_RE.search(src)
         if bad:
-            k = next(k for k, tok in enumerate(self.toks) if tok in bad)
-            self.fail(f"unexpected character {self.toks[k]!r}", k)
-        long = {tok for tok in distinct if len(tok) > MAX_NUMERAL_DIGITS and tok.isdigit()}
+            self._fail_at(f"unexpected character {src[bad.end() - 1]!r}", bad.end() - 1)
+        long = _LONG_RE.search(src)
         if long:
-            k = next(k for k, tok in enumerate(self.toks) if tok in long)
-            self.fail(f"numeral of {len(self.toks[k])} digits exceeds the limit of "
-                      f"{MAX_NUMERAL_DIGITS}", k)
+            self._fail_at(f"numeral of {long.end() - long.start()} digits exceeds the limit "
+                          f"of {MAX_NUMERAL_DIGITS}", long.start())
+        self.toks = _TOKEN_RE.findall(src)
         self.toks.append("")
 
     def fail(self, message: str, k: int):
         """Raise a :class:`ParseError` at token ``k``."""
         starts = [m.start() for m in _TOKEN_RE.finditer(self.src)]
-        offset = starts[k] if k < len(starts) else len(self.src)
+        self._fail_at(message, starts[k] if k < len(starts) else len(self.src))
+
+    def _fail_at(self, message: str, offset: int):
         line = self.src.count("\n", 0, offset) + 1
         raise ParseError(message, line, offset - self.src.rfind("\n", 0, offset))
 
@@ -604,6 +672,9 @@ def parse_term(src: str, ctx: Context) -> Term:
     p)`` awaits a body, ``(constructor, fields)`` a left branch and
     ``(constructor, fields, left)`` a right one.  A binder's name is in the
     scope set until its body closes; rebinding a name in scope is an error.
+    The parser refuses every violation that :func:`check_wellformed`
+    reports, so the root it returns is stamped with ``ctx`` for
+    :func:`require_wellformed`.
     """
     cur = _Cursor(src)
     toks, fail, expected = cur.toks, cur.fail, cur.expected
@@ -711,6 +782,7 @@ def parse_term(src: str, ctx: Context) -> Term:
         else:
             if toks[pos]:
                 fail(f"trailing input {toks[pos]!r}", pos)
+            _stamp(t, ctx)
             return t
 
 

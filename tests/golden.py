@@ -11,13 +11,18 @@ group rebuilds its records from seeds, with no download:
 * ``termgen``: 300 ``tests/termgen.py`` terms, 100 in each of its three
   contexts, normalized at the least and at a larger depth and level, and
   decided against the previous term of their context and against their
-  own reified form.
+  own reified form;
+* ``parse-errors``: seeded ``termgen.mutate`` edits of ``termgen`` texts,
+  of every 25th seed-1 pair of both decide workloads, and of their
+  contexts, parsed against the unedited context.
 
 A record is a verdict's two forms as ``normal_form_to_dict``, the verdict
-and ``Witness.describe``, or a lone form; each is hashed as compact sorted
-JSON, one line per record.  ``tests/test_golden.py`` recomputes the
+and ``Witness.describe``, or a lone form; in ``parse-errors`` it is a
+``ParseError``'s message, line and column, or the text of what was parsed
+when the edits left the text well-formed.  Each record is hashed as
+compact sorted JSON, one line per record.  ``tests/test_golden.py`` recomputes the
 digests and compares them with the stored ones, so any change to a normal
-form, a verdict or a witness shows as a changed digest.
+form, a verdict, a witness or a parse error shows as a changed digest.
 """
 
 from __future__ import annotations
@@ -28,13 +33,23 @@ import os
 import random
 import sys
 
-from betabern import equal, normal_form_to_dict, normalize, parse_context, parse_term, reify
+from betabern import (
+    ParseError,
+    equal,
+    format_term,
+    normal_form_to_dict,
+    normalize,
+    parse_context,
+    parse_term,
+    reify,
+)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
 GOLDEN = os.path.join(HERE, "golden.json")
 SEEDS = (1, 2, 3)
 TERMS_PER_CONTEXT = 100
+MUTANTS_PER_TEXT = 8
 
 
 class _Digest:
@@ -54,15 +69,20 @@ class _Digest:
                   "witness": v.witness.describe(ctx) if v.witness else None})
 
 
-def _workload(name: str) -> _Digest:
-    """Every pair the benchmark builds for ``name`` on seeds 1-3, both ways."""
+def workload_ops(name: str, seed: int) -> list:
+    """The operations ``perfbench/workloads.py`` builds for ``name`` and ``seed``."""
     if PERFBENCH not in sys.path:
         sys.path.insert(0, PERFBENCH)
     import workloads
 
+    return workloads.WORKLOADS[name](random.Random(f"{name}:{seed}"))
+
+
+def _workload(name: str) -> _Digest:
+    """Every pair the benchmark builds for ``name`` on seeds 1-3, both ways."""
     out = _Digest()
     for seed in SEEDS:
-        for op in workloads.WORKLOADS[name](random.Random(f"{name}:{seed}")):
+        for op in workload_ops(name, seed):
             ctx = parse_context(op.ctx)
             a, b = (parse_term(text, ctx) for text in op.texts)
             out.verdict(ctx, a, b)
@@ -89,10 +109,38 @@ def _termgen() -> _Digest:
     return out
 
 
+def _parse_errors() -> _Digest:
+    """Each text edited ``MUTANTS_PER_TEXT`` times, 1-3 edits each; a term
+    is parsed against the unedited context."""
+    from termgen import CONTEXTS, gen_term, mutate
+
+    rng = random.Random("golden:parse-errors")
+    texts = [(ctx, format_term(gen_term(rng, ctx, rng.randint(3, 40), weight_max=4)))
+             for ctx in CONTEXTS for _ in range(TERMS_PER_CONTEXT)]
+    for name in ("decide-ground", "decide-params"):
+        for op in workload_ops(name, 1)[::25]:
+            ctx = parse_context(op.ctx)
+            texts += [(ctx, text) for text in op.texts]
+            texts.append((None, op.ctx))
+    texts += [(None, str(ctx)) for ctx in CONTEXTS]
+    out = _Digest()
+    for ctx, text in texts:
+        for _ in range(MUTANTS_PER_TEXT):
+            mutant = mutate(rng, text, rng.randint(1, 3))
+            try:
+                parsed = parse_context(mutant) if ctx is None else parse_term(mutant, ctx)
+            except ParseError as e:
+                out.add([e.message, e.line, e.col])
+            else:
+                out.add(str(parsed))
+    return out
+
+
 GROUPS = {
     "decide-ground": lambda: _workload("decide-ground"),
     "decide-params": lambda: _workload("decide-params"),
     "termgen": _termgen,
+    "parse-errors": _parse_errors,
 }
 
 

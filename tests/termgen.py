@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 from betabern import (
     AXIOM_NAMES,
@@ -166,3 +167,39 @@ def rewrite_chain(rng: random.Random, ctx: Context, t: Term, steps: int) -> Term
     for _ in range(steps):
         t, _ = random_rewrite(rng, ctx, t)
     return t
+
+
+# What ``mutate`` inserts: every kind of token, names that are reserved or
+# out of scope, characters outside the grammar, other whitespace, and
+# numerals at and over the digit limit, alone and inside an identifier.
+MUTATION_PIECES = (
+    "rch", "pch", "nu", "params", "vars", "x", "y", "z", "p", "q1", "w", "[", "]", "(", ")",
+    ",", ".", ";", ":", "-", "0", "1", "7", "42", "_", "1_", "x_1", "@", "#", "\u00e9", "\u00b2",
+    "\t", "\n ", "\u00a0", "1" * 4300, "9" * 4301, "z" + "0" * 4301,
+)
+_PIECE_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|[0-9]+|\S")
+
+
+def mutate(rng: random.Random, text: str, edits: int) -> str:
+    """``text`` after ``edits`` random edits, each inserting or deleting a
+    token or a character, or inserting a piece of ``MUTATION_PIECES``."""
+    for _ in range(edits):
+        kind = rng.randrange(5)
+        spans = [m.span() for m in _PIECE_RE.finditer(text)] or [(0, 0)]
+        if kind == 0:  # delete a token
+            a, b = rng.choice(spans)
+            text = text[:a] + text[b:]
+        elif kind == 1:  # insert a copy of a token of the text
+            a, b = rng.choice(spans)
+            at = rng.choice(spans)[rng.randrange(2)]
+            text = text[:at] + text[a:b] + text[at:]
+        elif kind == 2:  # delete a character
+            at = rng.randrange(len(text) + 1)
+            text = text[:at] + text[at + 1:]
+        elif kind == 3:  # insert a copy of a character of the text
+            at = rng.randrange(len(text) + 1)
+            text = text[:at] + rng.choice(text or " ") + text[at:]
+        else:
+            at = rng.randrange(len(text) + 1)
+            text = text[:at] + rng.choice(MUTATION_PIECES) + text[at:]
+    return text

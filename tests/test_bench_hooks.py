@@ -31,6 +31,7 @@ tracer.install()
 ground = terms.parse_context("params: - ; vars: y:0, z:0")
 one = terms.parse_term("nu[1,1]p.pch[p](pch[p](y,z), z)", ground)
 two = terms.parse_term("nu[1,1]p.nu[1,1]q.pch[p](pch[q](y,z), z)", ground)
+terms.check_wellformed(ground, one)  # decide.equal does not walk parsed roots again
 decide.equal(ground, one, two)
 normalizer.raise_level(normalizer.push_nu_to_leaves(one), 3)
 reified = normalizer.reify(normalizer.normalize(ground, one))

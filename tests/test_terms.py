@@ -1,6 +1,8 @@
 """Syntax layer: parsing, printing, well-formedness, substitution, alpha."""
 
 import random
+from dataclasses import FrozenInstanceError, fields, replace
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,15 +18,20 @@ from betabern import (
     VarApp,
     alpha_eq,
     check_wellformed,
+    equal,
+    estimate,
     format_context,
     format_term,
     free_params,
+    normalize,
     parse_context,
     parse_term,
     substitute,
 )
+from betabern import terms
 from betabern.terms import Term, all_params, rename_params, replace_at, subterm_at
-from termgen import gen_term
+from golden import workload_ops
+from termgen import CONTEXTS, gen_term, mutate
 
 import refterms
 
@@ -518,3 +525,110 @@ class TestFreeParams:
         ctx = parse_context("params: p ; vars: x:1, y:1")
         t = parse_term("nu[1,1]q.pch[p](x(q), y(q))", ctx)
         assert free_params(t) == {"p"}
+
+
+class TestNodeClasses:
+    """What the slotted, frozen node classes keep of plain dataclasses."""
+
+    NODES = (VarApp("x", ("p",)), RatioChoice(1, 2, VarApp("y"), VarApp("z")),
+             ParamChoice("p", VarApp("y"), VarApp("z")), Nu(1, 3, "p", VarApp("x", ("p",))))
+
+    def test_fields(self):
+        assert [[f.name for f in fields(t)] for t in self.NODES] == [
+            ["var", "args"], ["i", "j", "left", "right"], ["param", "left", "right"],
+            ["i", "j", "param", "body"]]
+        assert VarApp("y").args == () and VarApp(var="y", args=("p",)).args == ("p",)
+
+    def test_frozen(self):
+        for t in self.NODES:
+            for f in fields(t):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(t, f.name, None)
+            # a name that is not a field has no slot; the dataclass's frozen
+            # __setattr__ refuses it with a TypeError
+            with pytest.raises(TypeError):
+                t.other = None
+            assert not hasattr(t, "__dict__")
+
+    def test_replace(self):
+        t = Nu(1, 3, "p", VarApp("x", ("p",)))
+        u = replace(t, j=2)
+        assert repr(u) == "Nu(1, 2, 'p', VarApp('x', ('p',)))" and repr(t).startswith("Nu(1, 3,")
+        assert replace(t) == t and replace(t) is not t
+        assert replace(self.NODES[0], args=()) == VarApp("x")
+
+    def test_deep_chain(self):
+        # deeper than the recursion limit: parse, print, compare and hash
+        depth = 100_000
+        text = "nu[1,1]q." + "rch[1,2](z, pch[q](y, " * depth + "y" + "))" * depth
+        t, u = parse_term(text, YZ), parse_term(text, YZ)
+        assert format_term(t) == text
+        assert t == u and hash(t) == hash(u)
+        assert replace(t, j=2) != t
+
+
+# Every 10th seed-1 pair of both decide workloads, and its context.
+@lru_cache(maxsize=None)
+def _workload_texts():
+    out = []
+    for name in ("decide-ground", "decide-params"):
+        for op in workload_ops(name, 1)[::10]:
+            out += [(parse_context(op.ctx), text) for text in op.texts]
+    return out
+
+
+class TestParsedTermsTrusted:
+    """``normalize``, ``equal`` and ``estimate`` skip ``check_wellformed``
+    only on a root that ``parse_term`` returned for the same context
+    object, so the parser must refuse every ill-formed term."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_accepted_mutants_are_wellformed(self, seed):
+        rng = random.Random(seed)
+        if rng.random() < 0.5:
+            ctx = rng.choice(CONTEXTS)
+            text = format_term(gen_term(rng, ctx, rng.randint(3, 40)))
+        else:
+            ctx, text = rng.choice(_workload_texts())
+        for _ in range(20):
+            mutant = mutate(rng, text, rng.randint(1, 3))
+            try:
+                t = parse_term(mutant, ctx)
+            except ParseError:
+                continue
+            assert check_wellformed(ctx, t) == [], mutant
+
+    @staticmethod
+    def ill_formed():
+        root = parse_term("nu[1,1]p.pch[p](y, z)", YZ)
+        return [
+            RatioChoice(0, 0, VarApp("y"), VarApp("z")),  # built by constructors
+            parse_term("rch[1,1](y, w)", parse_context("params: - ; vars: y:0, z:0, w:0")),
+            replace(root, i=0),
+            root.body,  # its binder is outside
+        ]
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_still_refused(self, case):
+        t = self.ill_formed()[case]
+        good = parse_term("y", YZ)
+        for run in (lambda: normalize(YZ, t), lambda: equal(YZ, t, good),
+                    lambda: equal(YZ, good, t), lambda: estimate(YZ, t, 100, 1, "polya")):
+            with pytest.raises(TermError, match="^term ill-formed: "):
+                run()
+
+    def test_only_a_parsed_root_in_its_own_context_is_trusted(self, monkeypatch):
+        walked = []
+        check = terms.check_wellformed
+        monkeypatch.setattr(terms, "check_wellformed",
+                            lambda ctx, t: walked.append(t) or check(ctx, t))
+        t = parse_term("nu[1,1]p.pch[p](y, rch[1,1](y, z))", YZ)
+        equal(YZ, t, t)
+        assert walked == []
+        # an equal context that is another object, and a copy of the root
+        equal(parse_context(str(YZ)), t, t)
+        assert walked == [t, t]
+        copy = replace(t)
+        normalize(YZ, copy)
+        assert walked[-1] is copy
