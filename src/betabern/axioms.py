@@ -57,6 +57,14 @@ AXIOM_NAMES = (
 MACRO_NAMES = ("Scale", "RatioComm")
 
 
+def _format_step(head: str, step) -> str:
+    """A step as a derivation file line: a term value is quoted."""
+    parts = [head, step.direction, f"path={format_path(step.path)}"]
+    parts += [f"{key}='{value}'" if isinstance(value, Term) else f"{key}={value}"
+              for key, value in step.inst.items()]
+    return " ".join(parts)
+
+
 @dataclass
 class RewriteStep:
     """One directed axiom application.
@@ -72,13 +80,7 @@ class RewriteStep:
     inst: dict = field(default_factory=dict)
 
     def __str__(self):
-        parts = [self.axiom, self.direction, f"path={format_path(self.path)}"]
-        for key, value in self.inst.items():
-            if isinstance(value, Term):
-                parts.append(f"{key}='{value}'")
-            else:
-                parts.append(f"{key}={value}")
-        return " ".join(parts)
+        return _format_step(self.axiom, self)
 
 
 @dataclass
@@ -91,15 +93,22 @@ class MacroStep:
     inst: dict = field(default_factory=dict)
 
     def __str__(self):
-        parts = [self.name, self.direction, f"path={format_path(self.path)}"]
-        for key, value in self.inst.items():
-            parts.append(f"{key}={value}")
-        return " ".join(parts)
+        return _format_step(self.name, self)
 
 
 def _need(cond: bool, message: str) -> None:
     if not cond:
         raise AxiomError(message)
+
+
+def _read(name: str, inst: dict, needs: str, **kinds: type) -> list:
+    """``inst``'s values at the keys of ``kinds``: refused with ``needs`` if
+    one is missing, and unless each is of its kind, int or str."""
+    _need(all(key in inst for key in kinds), needs)
+    for key, kind in kinds.items():
+        _need(isinstance(inst[key], kind),
+              f"{name}: field {key!r} must be {'a numeral' if kind is int else 'a name'}")
+    return [inst[key] for key in kinds]
 
 
 _KIND = {RatioChoice: "ratio choice", ParamChoice: "bias choice", Nu: "nu binder"}
@@ -228,8 +237,7 @@ def _convex_zero_rl(t: Term, inst: dict) -> Term:
 
 
 def _convex_idem_rl(t: Term, inst: dict) -> Term:
-    _need("i" in inst and "j" in inst, "ConvexIdem rl needs inst weights i, j")
-    i, j = inst["i"], inst["j"]
+    i, j = _read("ConvexIdem", inst, "ConvexIdem rl needs inst weights i, j", i=int, j=int)
     _need(i >= 0 and j >= 0 and i + j > 0, "ConvexIdem: weights need i+j > 0")
     return RatioChoice(i, j, t, t)
 
@@ -250,17 +258,16 @@ def _d1_lr(t: Term, inst: dict) -> Term:
 
 
 def _d1_rl(t: Term, inst: dict) -> Term:
-    _need(all(key in inst for key in ("i", "j", "p")),
-          "D1 rl needs inst i, j (hyperparameters) and p (fresh parameter)")
-    i, j, p = inst["i"], inst["j"], inst["p"]
+    i, j, p = _read("D1", inst, "D1 rl needs inst i, j (hyperparameters) and p (fresh parameter)",
+                    i=int, j=int, p=str)
     _need(i >= 1 and j >= 1, "D1: hyperparameters must be positive")
     _need(p not in all_params(t), f"D1: parameter {p!r} occurs in the term")
     return Nu(i, j, p, t)
 
 
 def _d2_rl(t: Term, inst: dict) -> Term:
-    _need("p" in inst, "D2 rl needs inst p (choice parameter)")
-    return ParamChoice(inst["p"], t, t)
+    [p] = _read("D2", inst, "D2 rl needs inst p (choice parameter)", p=str)
+    return ParamChoice(p, t, t)
 
 
 def _conj_lr(t: Term, inst: dict) -> Term:
@@ -408,9 +415,8 @@ def expand_ratio_comm(t: Term, path: Path, direction: str) -> list[RewriteStep]:
 
 def expand_macro(t: Term, macro: MacroStep) -> list[RewriteStep]:
     if macro.name == "Scale":
-        if "k" not in macro.inst:
-            raise AxiomError("Scale macro needs inst k (factor)")
-        return expand_scale(t, macro.path, macro.inst["k"], macro.direction)
+        [k] = _read("Scale", macro.inst, "Scale macro needs inst k (factor)", k=int)
+        return expand_scale(t, macro.path, k, macro.direction)
     if macro.name == "RatioComm":
         return expand_ratio_comm(t, macro.path, macro.direction)
     raise AxiomError(f"unknown macro {macro.name!r}")

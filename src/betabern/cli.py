@@ -25,10 +25,10 @@ from .terms import (
     PolyError,
     Term,
     TermError,
-    check_wellformed,
     format_term,
     parse_context,
     parse_term,
+    require_wellformed,
 )
 
 EX_USAGE = 64
@@ -132,16 +132,10 @@ def _cmd_check(opts) -> int:
     terms = _gather_terms(opts, ctx)
     if not terms:
         raise UsageError("check needs at least one term")
-    status = 0
     for t in terms:
-        violations = check_wellformed(ctx, t)
-        if violations:
-            status = EX_DATAERR
-            for v in violations:
-                print(f"violation: {v} in {format_term(t)}")
-        else:
-            print(f"ok: {format_term(t)}")
-    return status
+        require_wellformed(ctx, t)
+        print(f"ok: {format_term(t)}")
+    return 0
 
 
 def _cmd_normalize(opts) -> int:

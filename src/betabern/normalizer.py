@@ -115,17 +115,6 @@ def _first_use(ctx: Context, var: str, args, hyper) -> tuple:
     return tuple([hyper[a] for a in order]), var, argmap
 
 
-def chain_from_term(ctx: Context, node: Term) -> Chain:
-    """Canonicalize a nu-run: drop unused binders, order by first use."""
-    hyper = {}
-    while isinstance(node, Nu):
-        hyper[node.param] = (node.i, node.j)
-        node = node.body
-    if not isinstance(node, VarApp):
-        raise TermError(f"chain tip must be a variable application, got {format_term(node)}")
-    return Chain(*_first_use(ctx, node.var, node.args, hyper))
-
-
 @dataclass(eq=True)
 class NormalForm:
     """Stratified tree-diagram depth ``k``, chain level ``n``, ordered

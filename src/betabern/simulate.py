@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .normalizer import normalize
-from .terms import Context, Nu, RatioChoice, Term, TermError, VarApp, require_wellformed
+from .terms import Context, Nu, RatioChoice, Term, TermError, VarApp, postorder, require_wellformed
 
 SIGNIFICANCE = 0.001
 MIN_EXPECTED = 5.0
@@ -87,38 +87,31 @@ def _check_run(trials: int, impl: str) -> None:
 
 
 def _compile(t: Term) -> tuple[list[tuple], list[str], int]:
-    """Rows ``(kind, x, y, left, right)`` of the term, root first, branches
-    as row indices; the leaf names; the number of state cells.
+    """Rows ``(kind, x, y, left, right)`` of the term's node objects in
+    :func:`postorder`, so the root's row is last, branches as row indices;
+    the leaf names; the number of state cells.
 
     Kinds: 0 a leaf, ``x`` indexing the names; 1 ``rch[i,j]``, ``x, y = i,
     i + j``; 2 ``pch[p]``, ``x, y`` the two cells of ``p``; 3 ``nu[i,j]p``,
     ``x, y = i, j``, body at ``left``, first cell of ``p`` at ``right``.  The
     cells hold an urn's two counts or a bias.  A well-formed term binds a
     name once along a path, so one cell pair per name serves its binders."""
-    rows: list = [None]
-    row_of = {id(t): 0}  # a node object reached twice gets one row
+    nodes = postorder(t)
+    row_of = {id(node): n for n, node in enumerate(nodes)}
+    rows = []
     leaves, slots = {}, {}  # variable -> leaf index, binder name -> slot
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        kids = () if isinstance(node, VarApp) else (
-            (node.body,) if isinstance(node, Nu) else (node.left, node.right))
-        for kid in kids:
-            if id(kid) not in row_of:
-                row_of[id(kid)] = len(rows)
-                rows.append(None)
-                stack.append(kid)
-        refs = [row_of[id(kid)] for kid in kids]
-        if isinstance(node, VarApp):
-            row = (0, leaves.setdefault(node.var, len(leaves)), 0, 0, 0)
-        elif isinstance(node, RatioChoice):
-            row = (1, node.i, node.i + node.j, *refs)
-        elif isinstance(node, Nu):
-            row = (3, node.i, node.j, *refs, 2 * slots.setdefault(node.param, len(slots)))
+    for node in nodes:
+        kind = type(node)
+        if kind is VarApp:
+            rows.append((0, leaves.setdefault(node.var, len(leaves)), 0, 0, 0))
+        elif kind is Nu:
+            cell = 2 * slots.setdefault(node.param, len(slots))
+            rows.append((3, node.i, node.j, row_of[id(node.body)], cell))
+        elif kind is RatioChoice:
+            rows.append((1, node.i, node.i + node.j, row_of[id(node.left)], row_of[id(node.right)]))
         else:
             cell = 2 * slots.setdefault(node.param, len(slots))
-            row = (2, cell, cell + 1, *refs)
-        rows[row_of[id(node)]] = row
+            rows.append((2, cell, cell + 1, row_of[id(node.left)], row_of[id(node.right)]))
     return rows, list(leaves), 2 * len(slots)
 
 
@@ -130,7 +123,7 @@ def _tally(t: Term, rng, trials: int, polya: bool) -> dict[str, int]:
     state = [0] * size
     hits = [0] * len(leaves)
     for _ in range(trials):
-        kind, x, y, left, right = rows[0]
+        kind, x, y, left, right = rows[-1]
         while kind:
             if kind == 2:
                 if not polya:

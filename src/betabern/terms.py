@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields, replace
+from itertools import count
 
 RESERVED_WORDS = frozenset({"rch", "pch", "nu", "params", "vars"})
 # Python's default limit on int <-> str conversion, which is quadratic in
@@ -342,49 +343,49 @@ _LEAVE = object()  # stack marker: a binder's name goes out of scope
 def free_params(t: Term) -> frozenset[str]:
     """Parameters occurring free in choice subscripts or variable arguments.
 
-    One walk with an explicit stack, so no recursion limit applies.  A
-    binder pushes its name and a marker below its body; popping the marker
-    means the walk leaves the binder's scope.
+    One walk with an explicit stack.  A binder pushes its name and a marker
+    below its body; popping the marker means the walk leaves the binder's
+    scope.  As in :func:`check_wellformed`, a choice node object reached
+    again in the same binder scope is not walked again.
     """
     out: set[str] = set()
     bound: dict[str, int] = {}
+    scopes, serial = [0], count(1)  # serial numbers of the open binder scopes
+    seen: dict[int, int] = {}  # choice node id -> scope it was walked in
     stack: list = [t]
     while stack:
         node = stack.pop()
-        if node is _LEAVE:
-            bound[stack.pop()] -= 1
-        elif isinstance(node, VarApp):
+        cls = type(node)
+        if cls is VarApp:
             out.update(a for a in node.args if not bound.get(a))
-        elif isinstance(node, RatioChoice):
-            stack += (node.left, node.right)
-        elif isinstance(node, ParamChoice):
-            if not bound.get(node.param):
+        elif cls is RatioChoice or cls is ParamChoice:
+            if seen.get(id(node)) == scopes[-1]:
+                continue
+            seen[id(node)] = scopes[-1]
+            if cls is ParamChoice and not bound.get(node.param):
                 out.add(node.param)
             stack += (node.left, node.right)
-        elif isinstance(node, Nu):
+        elif cls is Nu:
             bound[node.param] = bound.get(node.param, 0) + 1
+            scopes.append(next(serial))
             stack += (node.param, _LEAVE, node.body)
+        elif node is _LEAVE:
+            bound[stack.pop()] -= 1
+            scopes.pop()
         else:
             raise TermError(f"not a term: {node!r}")
     return frozenset(out)
 
 
 def all_params(t: Term) -> frozenset[str]:
-    """Every parameter name occurring in ``t``, free or bound.  One walk
-    with an explicit stack."""
+    """Every parameter name occurring in ``t``, free or bound: one pass over
+    :func:`postorder`, so a shared subterm is read once."""
     out: set[str] = set()
-    stack: list = [t]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, VarApp):
-            out.update(t.args)
-        elif isinstance(t, RatioChoice):
-            stack += (t.left, t.right)
-        elif isinstance(t, (ParamChoice, Nu)):
-            out.add(t.param)
-            stack += (t.body,) if isinstance(t, Nu) else (t.left, t.right)
-        else:
-            raise TermError(f"not a term: {t!r}")
+    for node in postorder(t):
+        if type(node) is VarApp:
+            out.update(node.args)
+        elif type(node) is not RatioChoice:
+            out.add(node.param)
     return frozenset(out)
 
 
@@ -491,33 +492,48 @@ def require_wellformed(ctx: Context, t: Term) -> None:
 def alpha_eq(t: Term, u: Term) -> bool:
     """True iff the terms differ only by renaming of bound parameters.
 
-    One walk over both terms with an explicit stack of pairs.  Each pair
-    carries the binding depth of every bound name in scope and the depth
-    its next binder takes; a shadowing binder replaces a name's depth.
+    One walk over both terms with an explicit stack of pairs.  Each side
+    maps a bound name to the depth of its binder; a binder pair sets its
+    names for its bodies and a ``_LEAVE`` entry below them restores them.
+    As in :func:`check_wellformed`, a pair of choice node objects reached
+    again in the same binder scope is not compared again.
     """
-    stack: list = [(t, u, {}, {}, 0)]
+    env_t: dict[str, object] = {}  # a free name maps to itself, if at all
+    env_u: dict[str, object] = {}
+    scopes, serial = [0], count(1)  # serial numbers of the open binder scopes
+    seen: dict[tuple[int, int], int] = {}  # choice node ids -> scope compared in
+    stack: list = [(t, u)]
     while stack:
-        t, u, env_t, env_u, depth = stack.pop()
-        if type(t) is not type(u):
+        t, u = stack.pop()
+        cls = type(t)
+        if t is _LEAVE:
+            p, old_p, q, old_q = u
+            env_t[p], env_u[q] = old_p, old_q
+            scopes.pop()
+        elif cls is not type(u):
             return False
-        if isinstance(t, VarApp):
+        elif cls is VarApp:
             if t.var != u.var or len(t.args) != len(u.args) or any(
                     env_t.get(a, a) != env_u.get(b, b) for a, b in zip(t.args, u.args)):
                 return False
-        elif isinstance(t, Nu):
-            if (t.i, t.j) != (u.i, u.j):
-                return False
-            stack.append((t.body, u.body, {**env_t, t.param: depth},
-                          {**env_u, u.param: depth}, depth + 1))
-        elif isinstance(t, (RatioChoice, ParamChoice)):
-            if isinstance(t, RatioChoice):
+        elif cls is RatioChoice or cls is ParamChoice:
+            if seen.get((id(t), id(u))) == scopes[-1]:
+                continue
+            seen[(id(t), id(u))] = scopes[-1]
+            if cls is RatioChoice:
                 same = (t.i, t.j) == (u.i, u.j)
             else:
                 same = env_t.get(t.param, t.param) == env_u.get(u.param, u.param)
             if not same:
                 return False
-            stack += ((t.right, u.right, env_t, env_u, depth),
-                      (t.left, u.left, env_t, env_u, depth))
+            stack += ((t.right, u.right), (t.left, u.left))
+        elif cls is Nu:
+            if (t.i, t.j) != (u.i, u.j):
+                return False
+            p, q = t.param, u.param
+            stack += ((_LEAVE, (p, env_t.get(p, p), q, env_u.get(q, q))), (t.body, u.body))
+            env_t[p] = env_u[q] = len(scopes)
+            scopes.append(next(serial))
         else:
             raise TermError(f"not a term: {t!r}")
     return True

@@ -24,7 +24,7 @@ from math import gcd, lcm
 from betabern.normalizer import (
     Chain,
     TreeDiagram,
-    chain_from_term,
+    _first_use,
     multichoice,
 )
 from betabern.terms import (
@@ -35,6 +35,7 @@ from betabern.terms import (
     Term,
     TermError,
     VarApp,
+    format_term,
     free_params,
 )
 
@@ -155,6 +156,17 @@ def _nu_over(i: int, j: int, p: str, body: Term) -> Term:
                            _nu_over(i, j, p, body.left),
                            _nu_over(i, j, p, body.right))
     return Nu(i, j, p, body)
+
+
+def chain_from_term(ctx: Context, node: Term) -> Chain:
+    """Canonicalize a nu-run: drop unused binders, order by first use."""
+    hyper = {}
+    while isinstance(node, Nu):
+        hyper[node.param] = (node.i, node.j)
+        node = node.body
+    if not isinstance(node, VarApp):
+        raise TermError(f"chain tip must be a variable application, got {format_term(node)}")
+    return Chain(*_first_use(ctx, node.var, node.args, hyper))
 
 
 def chain_distribution(ctx: Context, leaf: Term) -> dict[Chain, Fraction]:

@@ -1,5 +1,12 @@
-"""Reference renaming and substitution, written recursively as the
-definitions read.
+"""Reference name walks, renaming and substitution, written recursively
+as the definitions read.
+
+``betabern.terms`` reads the names of a term in walks with an explicit
+stack that visit a node object shared by several parents once per binder
+scope (once in all for ``all_params``); the references here walk the
+tree, a shared node once per path, and ``alpha_eq`` compares de Bruijn
+forms.  Tests compare the two on terms with shadowing binders and on
+shared terms small enough for the tree walk.
 
 ``betabern.terms`` renames and substitutes in one capture-avoiding walk
 with an explicit stack: a binder that must be freshened is renamed on the
@@ -34,6 +41,42 @@ def all_params(t: Term) -> frozenset[str]:
     if isinstance(t, Nu):
         return all_params(t.body) | {t.param}
     raise TermError(f"not a term: {t!r}")
+
+
+def free_params(t: Term) -> frozenset[str]:
+    """Parameters occurring free in choice subscripts or variable arguments."""
+    if isinstance(t, VarApp):
+        return frozenset(t.args)
+    if isinstance(t, (RatioChoice, ParamChoice)):
+        extra = frozenset((t.param,)) if isinstance(t, ParamChoice) else frozenset()
+        return free_params(t.left) | free_params(t.right) | extra
+    if isinstance(t, Nu):
+        return free_params(t.body) - {t.param}
+    raise TermError(f"not a term: {t!r}")
+
+
+def de_bruijn(t: Term, bound: tuple[str, ...] = ()):
+    """``t`` as nested tuples in which a bound name is replaced by the
+    number of binders between its use and its own binder (the innermost
+    binder of the name), and a free name is kept."""
+
+    def name(a: str):
+        return ("bound", bound[::-1].index(a)) if a in bound else ("free", a)
+
+    if isinstance(t, VarApp):
+        return ("var", t.var, tuple(name(a) for a in t.args))
+    if isinstance(t, RatioChoice):
+        return ("rch", t.i, t.j, de_bruijn(t.left, bound), de_bruijn(t.right, bound))
+    if isinstance(t, ParamChoice):
+        return ("pch", name(t.param), de_bruijn(t.left, bound), de_bruijn(t.right, bound))
+    if isinstance(t, Nu):
+        return ("nu", t.i, t.j, de_bruijn(t.body, bound + (t.param,)))
+    raise TermError(f"not a term: {t!r}")
+
+
+def alpha_eq(t: Term, u: Term) -> bool:
+    """True iff the terms differ only by renaming of bound parameters."""
+    return de_bruijn(t) == de_bruijn(u)
 
 
 def rename_params(t: Term, mapping: dict[str, str]) -> Term:

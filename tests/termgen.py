@@ -30,6 +30,28 @@ CONTEXTS = tuple(parse_context(text) for text in (
 ))
 
 
+def spine(ell: int, per_param: int = 4) -> tuple[Context, Term]:
+    """A seeded right comb of ``per_param`` bias choices on each of ``ell``
+    parameters, interleaved, with a ratio choice every third node.  The
+    ``reify`` of its normal form shares subterms."""
+    params = tuple(f"p{a + 1}" for a in range(ell))
+    ctx = parse_context(f"params: {', '.join(params)} ; vars: x:2, y:1, z:0")
+    rng = random.Random(5)
+
+    def leaf():
+        var = rng.choice("xyz")
+        return VarApp(var, tuple(rng.choice(params) for _ in range("zyx".index(var))))
+
+    picks = [p for p in params for _ in range(per_param)]
+    rng.shuffle(picks)
+    t = leaf()
+    for pos, p in enumerate(picks):
+        t = ParamChoice(p, leaf(), t) if pos % 2 else ParamChoice(p, t, leaf())
+        if pos % 3 == 2:
+            t = RatioChoice(1 + pos % 3, 2, leaf(), t)
+    return ctx, t
+
+
 def term_size(t: Term) -> int:
     if isinstance(t, VarApp):
         return 1

@@ -364,6 +364,23 @@ class TestReplay:
         assert code == 1 and "different term" in out
 
 
+    @pytest.mark.parametrize("step, message", [
+        ("D1 rl path=. i=a j=1 p=q", "D1: field 'i' must be a numeral"),
+        ("D1 rl path=. i=1 j=1 p=7", "D1: field 'p' must be a name"),
+        ("ConvexIdem rl path=. i=a j=1", "ConvexIdem: field 'i' must be a numeral"),
+        ("D2 rl path=. p='y'", "D2: field 'p' must be a name"),
+        ("Scale rl path=. k=a", "Scale: field 'k' must be a numeral"),
+        ("Scale rl path=. k='y'", "Scale: field 'k' must be a numeral"),
+    ])
+    def test_field_of_the_wrong_kind_exits_65(self, capsys, tmp_path, step, message):
+        steps = tmp_path / "steps.txt"
+        steps.write_text(step + "\n")
+        code, _, err = run(capsys, "replay", "--context", YZ, "--start", "rch[1,2](y,z)",
+                           "--end", "rch[1,2](y,z)", "--steps", str(steps), "--no-banner")
+        assert code == EX_DATAERR
+        assert err == f"error: step 0 ({step}): {message}\n"
+
+
 class TestSimulate:
     def test_report_format(self, capsys):
         code, out, _ = run(capsys, "simulate", "--context", YZ, "-t", APPENDIX_ONE,

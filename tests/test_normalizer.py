@@ -25,7 +25,6 @@ from betabern import (
     reify,
 )
 from betabern.normalizer import (
-    chain_from_term,
     format_normal_form,
     multichoice,
     push_nu_to_leaves,
@@ -34,9 +33,10 @@ from betabern.normalizer import (
 )
 from betabern.semantics import functional_eq, functional_eq_sampled
 from betabern.terms import TermError, check_wellformed, format_term, free_params
-from refnorm import chain_distribution, collect_chains, level_and_depth, stratify
+from refnorm import (chain_distribution, chain_from_term, collect_chains, level_and_depth,
+                     stratify)
 from refnorm import push_nu_to_leaves as reference_push
-from termgen import CONTEXTS, gen_term, rewrite_chain
+from termgen import CONTEXTS, gen_term, rewrite_chain, spine
 
 YZ = parse_context("params: - ; vars: y:0, z:0")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -468,29 +468,8 @@ class TestSharedNodes:
     """The fold memoises a shared choice node per pending binders it uses;
     the forms match those of the same term with nothing shared."""
 
-    @staticmethod
-    def spine(ell, per_param=4):
-        # a right comb of per_param bias choices on each parameter,
-        # interleaved, with a ratio choice every third node
-        params = tuple(f"p{a + 1}" for a in range(ell))
-        ctx = parse_context(f"params: {', '.join(params)} ; vars: x:2, y:1, z:0")
-        rng = random.Random(5)
-
-        def leaf():
-            var = rng.choice("xyz")
-            return VarApp(var, tuple(rng.choice(params) for _ in range("zyx".index(var))))
-
-        picks = [p for p in params for _ in range(per_param)]
-        rng.shuffle(picks)
-        t = leaf()
-        for pos, p in enumerate(picks):
-            t = ParamChoice(p, leaf(), t) if pos % 2 else ParamChoice(p, t, leaf())
-            if pos % 3 == 2:
-                t = RatioChoice(1 + pos % 3, 2, leaf(), t)
-        return ctx, t
-
     def test_reified_five_parameter_spine(self):
-        ctx, t = self.spine(5)
+        ctx, t = spine(5)
         nf = normalize(ctx, t)
         assert nf.k == 4
         reified = reify(nf)

@@ -1,6 +1,7 @@
 """Syntax layer: parsing, printing, well-formedness, substitution, alpha."""
 
 import random
+import time
 from dataclasses import FrozenInstanceError, fields, replace
 from functools import lru_cache
 
@@ -26,12 +27,13 @@ from betabern import (
     normalize,
     parse_context,
     parse_term,
+    reify,
     substitute,
 )
 from betabern import terms
 from betabern.terms import Term, all_params, rename_params, replace_at, subterm_at
 from golden import workload_ops
-from termgen import CONTEXTS, gen_term, mutate
+from termgen import CONTEXTS, all_paths, gen_term, mutate, spine
 
 import refterms
 
@@ -477,6 +479,25 @@ class TestAlpha:
         assert alpha_eq(parse_term(deep, YZ), parse_term(deep, YZ))
         assert not alpha_eq(parse_term(deep, YZ), parse_term(deep.replace("z)", "y)"), YZ))
 
+    def test_deep_renamed_binder_chains(self):
+        # 100,000 binders, each over a bias choice on its own name: a copy
+        # of every binder's name map would make this quadratic in depth
+        depth = 100_000
+
+        def chain(prefix, bottom):
+            names = [f"{prefix}{d}" for d in range(depth)]
+            t = VarApp("x", (names[bottom], names[0]))
+            for name in reversed(names):
+                t = Nu(1, 1, name, ParamChoice(name, VarApp("y"), t))
+            return t
+
+        a, b, differs = chain("a", -1), chain("b", -1), chain("b", -2)
+        started = time.time()
+        assert alpha_eq(a, b)
+        assert not alpha_eq(a, differs)
+        elapsed = time.time() - started
+        assert elapsed < 5.0, f"took {elapsed:.2f}s"
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32))
     def test_equivalence_relation(self, seed):
@@ -525,6 +546,136 @@ class TestFreeParams:
         ctx = parse_context("params: p ; vars: x:1, y:1")
         t = parse_term("nu[1,1]q.pch[p](x(q), y(q))", ctx)
         assert free_params(t) == {"p"}
+
+
+def rename_binders(t, name_of, depth=0, env=None):
+    """``t`` with its binder at each depth renamed to ``name_of(depth)``, and
+    that binder's uses with it; a free name equal to a new one is captured."""
+    env = env or {}
+    if isinstance(t, VarApp):
+        return VarApp(t.var, tuple(env.get(a, a) for a in t.args))
+    if isinstance(t, Nu):
+        new = name_of(depth)
+        return Nu(t.i, t.j, new, rename_binders(t.body, name_of, depth + 1, {**env, t.param: new}))
+    left, right = (rename_binders(b, name_of, depth, env) for b in (t.left, t.right))
+    if isinstance(t, RatioChoice):
+        return RatioChoice(t.i, t.j, left, right)
+    return ParamChoice(env.get(t.param, t.param), left, right)
+
+
+def bind(names, t):
+    """``t`` under one ``nu[1,1]`` binder per name, the first outermost."""
+    for name in reversed(names):
+        t = Nu(1, 1, name, t)
+    return t
+
+
+def shared_term(seed, names):
+    """A term whose nodes take their branches from earlier nodes, so
+    subterms are shared, under binders and outside them.  ``seed`` fixes
+    the shape and ``names`` (a random source) the parameter names, from
+    ``p`` and ``q``: binders shadow and capture.  A node that would make the
+    tree larger than 3,000 nodes is a leaf instead."""
+    rng = random.Random(seed)
+    name = lambda: names.choice("pq")
+    pool, size = [VarApp("y"), VarApp("x", (name(),))], {}
+    for _ in range(rng.randint(5, 40)):
+        kind, a, b = rng.choice("rpnn"), rng.choice(pool), rng.choice(pool)
+        grown = 1 + size.get(id(a), 1) + (kind != "n") * size.get(id(b), 1)
+        if grown > 3000:
+            pool.append(VarApp("x", (name(),)))
+            continue
+        if kind == "r":
+            pool.append(RatioChoice(rng.randint(1, 2), 1, a, b))
+        elif kind == "p":
+            pool.append(ParamChoice(name(), a, b))
+        else:
+            pool.append(Nu(1, 1, name(), a))
+        size[id(pool[-1])] = grown
+    return pool[-1]
+
+
+class TestNameWalksMatchReferences:
+    """``all_params``, ``free_params`` and ``alpha_eq`` agree with the
+    recursive tree walks of ``refterms``: on seeded terms and their open
+    subterms, on copies with binders renamed, captured or shadowing, and on
+    reified normal forms, which share subterms."""
+
+    POOL = ("p", "q", "q1", "s")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_random_terms(self, seed):
+        rng = random.Random(seed)
+        ctx = rng.choice(CONTEXTS)
+        t = gen_term(rng, ctx, rng.randint(3, 40))
+        renamed = rename_binders(t, lambda depth: f"d{depth}")
+        shadowed = rename_binders(t, lambda depth: rng.choice(self.POOL))
+        # the free parameters bound and renamed onto names of t's binders,
+        # which rename_params freshens
+        targets = rng.sample(sorted(all_params(t) | set(self.POOL)), len(ctx.params))
+        moved = bind(targets, rename_params(t, dict(zip(ctx.params, targets))))
+        other = gen_term(rng, ctx, rng.randint(3, 40))
+        subterms = [subterm_at(t, path) for path in all_paths(t)]
+        for u in [renamed, shadowed, moved, other] + subterms:
+            assert all_params(u) == refterms.all_params(u)
+            assert free_params(u) == refterms.free_params(u)
+        assert alpha_eq(t, renamed) and alpha_eq(bind(ctx.params, t), moved)
+        for a, b in [(t, shadowed), (shadowed, rename_binders(shadowed, lambda d: "s")),
+                     (t, other), (bind(ctx.params, t), moved)] + list(zip(subterms, [
+                         subterm_at(renamed, path) for path in all_paths(t)])):
+            assert alpha_eq(a, b) == refterms.alpha_eq(a, b) == alpha_eq(b, a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_shared_across_binder_scopes(self, seed):
+        # a node shared inside and outside a binder of one of its names
+        # is free there in one place and bound in the other
+        rng = random.Random(seed)
+        t = shared_term(seed, rng)
+        u = shared_term(seed, rng)
+        assert all_params(t) == refterms.all_params(t)
+        assert free_params(t) == refterms.free_params(t)
+        assert alpha_eq(t, u) == refterms.alpha_eq(t, u)
+
+    def test_shared_node_free_outside_its_binder(self):
+        shared = ParamChoice("p", VarApp("y"), VarApp("z"))
+        t = RatioChoice(1, 1, Nu(1, 1, "p", shared), shared)
+        assert free_params(t) == {"p"}
+        other = ParamChoice("q", VarApp("y"), VarApp("z"))
+        u = RatioChoice(1, 1, Nu(1, 1, "q", other), other)
+        assert alpha_eq(t, t) and not alpha_eq(t, u)
+
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    def test_reified_spine(self, ell):
+        ctx, t = spine(ell)
+        nf = normalize(ctx, t)
+        shared, again = reify(nf), reify(nf)
+        unshared = parse_term(format_term(shared), ctx)
+        other = reify(normalize(ctx, spine(ell, per_param=3)[1]))
+        for u in (shared, unshared, other):
+            assert all_params(u) == refterms.all_params(u)
+            assert free_params(u) == refterms.free_params(u)
+        assert alpha_eq(shared, again) and alpha_eq(shared, unshared)
+        assert refterms.alpha_eq(shared, unshared)
+        assert not alpha_eq(shared, other) and not refterms.alpha_eq(shared, other)
+
+    @pytest.mark.parametrize("walk", ["all_params", "free_params", "alpha_eq"])
+    def test_reified_five_parameter_spine_in_budget(self, walk):
+        # as trees these forms have millions of nodes; each walk reads a
+        # shared node once per binder scope.  The form is walked as it is
+        # and with its parameters bound.
+        ctx, t = spine(5)
+        nf = normalize(ctx, t)
+        params = set(ctx.params)
+        for names in ((), ctx.params):
+            shared, again = bind(names, reify(nf)), bind(names, reify(nf))
+            started = time.time()
+            out = alpha_eq(shared, again) if walk == "alpha_eq" else getattr(terms, walk)(shared)
+            elapsed = time.time() - started
+            assert elapsed < 1.0, f"{walk} took {elapsed:.2f}s"
+            want = {"all_params": params, "free_params": params - set(names)}
+            assert out == want.get(walk, True)
 
 
 class TestNodeClasses:
