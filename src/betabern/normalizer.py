@@ -19,10 +19,11 @@ A normal form is reached in four derivable-equality-preserving stages:
 
 ``_LeafWalk`` does all four in one bottom-up fold of each checked term,
 in integers: a node's value holds, per count of choices and of right
-branches on each free parameter, the weights of the chain tips below it,
-and a node shared by several parents is folded once per pending binders
-it uses.  The tips are raised and the counts spread over the leaves once
-``n`` and ``k`` are known.  No pushed, raised or averaged term is built.
+branches on each free parameter, the weights of the chain tips below it.
+The same fold serves trees and terms that share subterms: a node with
+several parents is folded once per counts of the pending binders it uses.
+The tips are raised and the counts spread over the leaves once ``n`` and
+``k`` are known.  No pushed, raised or averaged term is built.
 ``push_nu_to_leaves`` and ``raise_level`` are stages 1 and 2 written as
 term rewrites; ``tests/refnorm.py`` builds the reference on them.
 
@@ -46,6 +47,7 @@ from .terms import (
     TermError,
     VarApp,
     format_term,
+    free_params,
     postorder,
     require_wellformed,
 )
@@ -324,34 +326,6 @@ _STORE = object()  # fold stack marker: memoise the value on top
 _SET = object()  # fold stack marker: set a pending binder's counts
 
 
-class _Shared(Exception):
-    """A choice node object was reached twice: fold with the memo."""
-
-
-def _scan(t: Term) -> tuple[dict[int, frozenset], dict[int, int]]:
-    """The free parameter names of every node of ``t``, by ``id``, and the
-    number of parents of each node that has more than one."""
-    free: dict[int, frozenset] = {}
-    refs: dict[int, int] = {}
-    empty: frozenset = frozenset()
-    for node in postorder(t):
-        cls = type(node)
-        if cls is VarApp:
-            free[id(node)] = frozenset(node.args) if node.args else empty
-            continue
-        kids = (node.body,) if cls is Nu else (node.left, node.right)
-        for kid in kids:
-            refs[id(kid)] = refs.get(id(kid), 0) + 1
-        if cls is Nu:
-            f = free[id(node.body)]
-            free[id(node)] = f - {node.param} if node.param in f else f
-            continue
-        fl, fr = free[id(node.left)], free[id(node.right)]
-        f = fl if fr <= fl else fr if fl <= fr else fl | fr
-        free[id(node)] = f if cls is RatioChoice or node.param in f else f | {node.param}
-    return free, {key: n for key, n in refs.items() if n > 1}
-
-
 def _mix(left: tuple, right: tuple, wl: int, wr: int, total: int) -> tuple:
     """The group ``(wl * left + wr * right) / total`` over the lcm of the
     two denominators, times ``total``."""
@@ -377,7 +351,8 @@ class _LeafWalk:
 
     The fold walks depth first with an explicit stack.  The binders pending
     on the current path sit in one map from parameter to ``(i, j)``, set
-    when a binder is entered, so no map is copied.  The cases are those of
+    when a binder is entered and cleared when its body is done, so no map
+    is copied.  The cases are those of
     ``push_nu_to_leaves``: a choice on a pending binder's parameter is the
     ratio choice ``i : j`` into branches that see the binder updated to
     ``(i+1, j)`` and ``(i, j+1)`` (Conj), any other choice passes the
@@ -393,10 +368,9 @@ class _LeafWalk:
     the left shifted by one choice on its axis, the right by one choice and
     one right branch.  Denominators grow only where paths mix, so a deep
     chain pays one small merge per level and the leaves of a tree diagram
-    keep their own.  A value is dropped once its parent has merged it.  A
-    term that shares a choice node object, as a reified form shares its
-    subdiagrams, is folded again with a memo keyed by the node and the
-    pending binders it uses; an entry goes after the node's last use.
+    keep their own.  A value is dropped once its parent has merged it,
+    unless the node has parents still to come, as a reified form shares
+    its subdiagrams and chains: then it waits in a memo until its last use.
 
     A root group that consumes ``d`` choices on a free parameter, ``r`` of
     them right branches, lands in leaf ``s`` of that parameter's depth-k
@@ -425,25 +399,30 @@ class _LeafWalk:
                                 for sig in table for a in range(len(ctx.params))])
 
     def fold(self, t: Term) -> dict[int, tuple[int, dict[int, int]]]:
-        """The value of the root of ``t``.  A term whose choice nodes are
-        all distinct objects, as every parsed term is, is folded once
-        without the memo; on one that shares a choice node the fold starts
-        over with it.  Folding every term with the memo adds ``_scan``'s
-        pass over each node to every decide operation: the benchmark's
-        ``decide-ground`` and ``decide-params`` medians rose by 38% and
-        35% (2-core x86 VM, Python 3.11)."""
-        try:
-            return self._fold(t, None, {})
-        except _Shared:
-            return self._fold(t, *_scan(t))
+        """The value of the root of ``t``.
 
-    def _fold(self, t: Term, free: dict[int, frozenset] | None,
-              shared: dict[int, int]) -> dict[int, tuple[int, dict[int, int]]]:
+        ``pending`` holds the binders open on the current path: a binder's
+        name goes when its body is done.  A choice or binder node with
+        several parents is memoised, keyed by its id and the counts of the
+        open binders it uses; these are looked up with ``free_params`` once
+        per node, and not at all above every binder, as in a reified form's
+        diagram.  An entry goes after the node's last use.  One ``postorder``
+        pass counts each node's parents; a root stamped by ``parse_term``
+        skips it, since the parser builds every node afresh, so the root is
+        a tree and nothing is memoised."""
         ctx, tips, shifts = self.ctx, self.tips, self.shifts
+        shared: dict[int, int] = {}  # node id -> parents, if more than one
+        if getattr(t, "_parsed_in", None) is None:
+            for node in postorder(t):
+                cls = type(node)
+                if cls is not VarApp:
+                    for kid in (node.body,) if cls is Nu else (node.left, node.right):
+                        shared[id(kid)] = shared.get(id(kid), 0) + 1
+            shared = {key: n for key, n in shared.items() if n > 1}
+        free: dict[int, frozenset] = {}  # shared node id -> its free names
         leaf: dict[int, dict] = {}  # the value of each tip id
-        seen: set[int] = set()
         memo: dict[tuple, dict] = {}
-        pending: dict[str, tuple[int, int]] = {}
+        pending: dict[str, tuple[int, int]] = {}  # the binders open on the path
         vals: list[dict[int, tuple[int, dict[int, int]]]] = []
         stack: list = [t]
         while stack:
@@ -485,28 +464,30 @@ class _LeafWalk:
                     value = leaf[tid] = {0: (1, {tid: 1})}
                 vals.append(value)
                 continue
-            if cls is Nu:
-                # never removed: in a well-formed term a name is read only
-                # inside its binder, which has set it on the current path
-                pending[node.param] = (node.i, node.j)
-                stack.append(node.body)
+            if cls is str:  # a binder's body is done: its name leaves the path
+                del pending[node]
                 continue
             if cls is RatioChoice and not (node.i and node.j):
                 stack.append(node.left if node.i else node.right)
                 continue
             key = id(node)
-            if free is None:
-                if key in seen:
-                    raise _Shared
-                seen.add(key)
-            elif key in shared:
-                mkey = (key, tuple([(p, pending[p]) for p in free[key] if p in pending]))
+            if key in shared:
+                used = ()
+                if pending:
+                    if key not in free:
+                        free[key] = free_params(node)
+                    used = tuple([(p, pending[p]) for p in free[key] if p in pending])
+                mkey = (key, used)
                 left_over = shared[key] = shared[key] - 1
                 if mkey in memo:
                     vals.append(memo.pop(mkey) if left_over <= 0 else memo[mkey])
                     continue
                 if left_over > 0:
                     stack.append((_STORE, mkey))
+            if cls is Nu:
+                pending[node.param] = (node.i, node.j)
+                stack += (node.param, node.body)
+                continue
             if cls is RatioChoice:
                 stack += ((_MIX, node.i, node.j), node.right, node.left)
                 continue

@@ -13,9 +13,11 @@ is immutable and operations are pure functions, so terms can be shared
 freely between threads.  The nodes are frozen dataclasses with slots: a
 field cannot be assigned, and a node's ``__init__`` fills its slots through
 their descriptors.  One more slot, ``_parsed_in``, is set only on a root
-that :func:`parse_term` returns, to the context object it was parsed in;
-:func:`require_wellformed` trusts that root in that context and walks every
-other term with :func:`check_wellformed`.
+that :func:`parse_term` returns, to the context object it was parsed in.
+It has two readers: :func:`require_wellformed` trusts that root in that
+context and walks every other term with :func:`check_wellformed`, and the
+normalizer's fold takes a stamped root for a tree, as the parser builds
+every node afresh, and skips counting each node's parents.
 """
 
 from __future__ import annotations
@@ -112,7 +114,10 @@ class Context:
 class Term:
     """Base class for term nodes."""
 
-    __slots__ = ("_parsed_in",)  # see parse_term and require_wellformed
+    # set by parse_term, read by require_wellformed and by the normalizer's
+    # fold, which takes a stamped root for a tree; a parser that shares nodes
+    # (hash-consing) must revisit the fold and test_terms' TestParsedTree
+    __slots__ = ("_parsed_in",)
 
     def __str__(self) -> str:
         return format_term(self)
@@ -345,35 +350,34 @@ def free_params(t: Term) -> frozenset[str]:
 
     One walk with an explicit stack.  A binder pushes its name and a marker
     below its body; popping the marker means the walk leaves the binder's
-    scope.  As in :func:`check_wellformed`, a choice node object reached
-    again in the same binder scope is not walked again.
+    scope.  As in :func:`check_wellformed`, a choice or binder node object
+    reached again in the same binder scope is not walked again.
     """
     out: set[str] = set()
     bound: dict[str, int] = {}
     scopes, serial = [0], count(1)  # serial numbers of the open binder scopes
-    seen: dict[int, int] = {}  # choice node id -> scope it was walked in
+    seen: dict[int, int] = {}  # node id -> scope it was walked in
     stack: list = [t]
     while stack:
         node = stack.pop()
         cls = type(node)
         if cls is VarApp:
             out.update(a for a in node.args if not bound.get(a))
-        elif cls is RatioChoice or cls is ParamChoice:
-            if seen.get(id(node)) == scopes[-1]:
-                continue
-            seen[id(node)] = scopes[-1]
-            if cls is ParamChoice and not bound.get(node.param):
-                out.add(node.param)
-            stack += (node.left, node.right)
-        elif cls is Nu:
-            bound[node.param] = bound.get(node.param, 0) + 1
-            scopes.append(next(serial))
-            stack += (node.param, _LEAVE, node.body)
         elif node is _LEAVE:
             bound[stack.pop()] -= 1
             scopes.pop()
-        else:
+        elif cls is not RatioChoice and cls is not ParamChoice and cls is not Nu:
             raise TermError(f"not a term: {node!r}")
+        elif seen.get(id(node)) != scopes[-1]:
+            seen[id(node)] = scopes[-1]
+            if cls is Nu:
+                bound[node.param] = bound.get(node.param, 0) + 1
+                scopes.append(next(serial))
+                stack += (node.param, _LEAVE, node.body)
+                continue
+            if cls is ParamChoice and not bound.get(node.param):
+                out.add(node.param)
+            stack += (node.left, node.right)
     return frozenset(out)
 
 
@@ -415,16 +419,16 @@ def check_wellformed(ctx: Context, t: Term) -> list[Violation]:
 
     An empty list means the term is well-formed in ``ctx``.  One walk with
     an explicit stack; a node's path is kept as a link to its parent's until
-    a violation spells it out.  A choice node object reached again in the
-    same binder scope, with no violation found so far, is not walked again:
-    its first walk found none, so a term that shares subterms (a reified
-    normal form) is checked in time linear in its distinct nodes.
+    a violation spells it out.  A choice or binder node object reached again
+    in the same binder scope, with no violation found so far, is not walked
+    again: its first walk found none, so a term that shares subterms (a
+    reified normal form) is checked in time linear in its distinct nodes.
     """
     out: list[tuple] = []
     arity = dict(ctx.vars)
     scope = set(ctx.params)
     here, opened, outer = 0, 0, []  # serial numbers of the open binder scopes
-    seen: dict[int, int] = {}  # choice node id -> scope it was walked in
+    seen: dict[int, int] = {}  # node id -> scope it was walked in
     stack: list = [(t, ())]
     while stack:
         t, link = stack.pop()
@@ -438,10 +442,28 @@ def check_wellformed(ctx: Context, t: Term) -> list[Violation]:
             for a in t.args:
                 if a not in scope:
                     out.append((link, f"parameter {a!r} not in scope"))
-        elif cls is RatioChoice or cls is ParamChoice:
-            if seen.get(id(t)) == here and not out:
-                continue
+        elif t is _LEAVE:
+            scope.remove(link)
+            here = outer.pop()
+        elif cls is not RatioChoice and cls is not ParamChoice and cls is not Nu:
+            out.append((link, f"not a term: {t!r}"))
+        elif seen.get(id(t)) != here or out:
             seen[id(t)] = here
+            if cls is Nu:
+                if t.i < 1 or t.j < 1:
+                    out.append((link, f"nu hyperparameters must be positive, got ({t.i},{t.j})"))
+                if t.param in RESERVED_WORDS:
+                    out.append((link, f"binder {t.param!r} is a reserved word"))
+                if t.param in scope or t.param in arity:
+                    out.append((link, f"binder {t.param!r} rebinds a name in scope"))
+                if t.param not in scope:  # in scope for the body only
+                    scope.add(t.param)
+                    outer.append(here)
+                    opened += 1
+                    here = opened
+                    stack.append((_LEAVE, t.param))
+                stack.append((t.body, (link, "b")))
+                continue
             if cls is RatioChoice:
                 if t.i < 0 or t.j < 0:
                     out.append((link, "ratio weights must be nonnegative"))
@@ -450,23 +472,6 @@ def check_wellformed(ctx: Context, t: Term) -> list[Violation]:
             elif t.param not in scope:
                 out.append((link, f"parameter {t.param!r} not in scope"))
             stack += ((t.right, (link, "r")), (t.left, (link, "l")))
-        elif cls is Nu:
-            if t.i < 1 or t.j < 1:
-                out.append((link, f"nu hyperparameters must be positive, got ({t.i},{t.j})"))
-            if t.param in scope or t.param in arity:
-                out.append((link, f"binder {t.param!r} rebinds a name in scope"))
-            if t.param not in scope:  # in scope for the body only
-                scope.add(t.param)
-                outer.append(here)
-                opened += 1
-                here = opened
-                stack.append((_LEAVE, t.param))
-            stack.append((t.body, (link, "b")))
-        elif t is _LEAVE:
-            scope.remove(link)
-            here = outer.pop()
-        else:
-            out.append((link, f"not a term: {t!r}"))
     return [Violation(_spell(link), message) for link, message in out]
 
 
@@ -495,13 +500,13 @@ def alpha_eq(t: Term, u: Term) -> bool:
     One walk over both terms with an explicit stack of pairs.  Each side
     maps a bound name to the depth of its binder; a binder pair sets its
     names for its bodies and a ``_LEAVE`` entry below them restores them.
-    As in :func:`check_wellformed`, a pair of choice node objects reached
-    again in the same binder scope is not compared again.
+    As in :func:`check_wellformed`, a pair of choice or binder node objects
+    reached again in the same binder scope is not compared again.
     """
     env_t: dict[str, object] = {}  # a free name maps to itself, if at all
     env_u: dict[str, object] = {}
     scopes, serial = [0], count(1)  # serial numbers of the open binder scopes
-    seen: dict[tuple[int, int], int] = {}  # choice node ids -> scope compared in
+    seen: dict[tuple[int, int], int] = {}  # node ids -> scope compared in
     stack: list = [(t, u)]
     while stack:
         t, u = stack.pop()
@@ -516,10 +521,18 @@ def alpha_eq(t: Term, u: Term) -> bool:
             if t.var != u.var or len(t.args) != len(u.args) or any(
                     env_t.get(a, a) != env_u.get(b, b) for a, b in zip(t.args, u.args)):
                 return False
-        elif cls is RatioChoice or cls is ParamChoice:
-            if seen.get((id(t), id(u))) == scopes[-1]:
-                continue
+        elif cls is not RatioChoice and cls is not ParamChoice and cls is not Nu:
+            raise TermError(f"not a term: {t!r}")
+        elif seen.get((id(t), id(u))) != scopes[-1]:
             seen[(id(t), id(u))] = scopes[-1]
+            if cls is Nu:
+                if (t.i, t.j) != (u.i, u.j):
+                    return False
+                p, q = t.param, u.param
+                stack += ((_LEAVE, (p, env_t.get(p, p), q, env_u.get(q, q))), (t.body, u.body))
+                env_t[p] = env_u[q] = len(scopes)
+                scopes.append(next(serial))
+                continue
             if cls is RatioChoice:
                 same = (t.i, t.j) == (u.i, u.j)
             else:
@@ -527,15 +540,6 @@ def alpha_eq(t: Term, u: Term) -> bool:
             if not same:
                 return False
             stack += ((t.right, u.right), (t.left, u.left))
-        elif cls is Nu:
-            if (t.i, t.j) != (u.i, u.j):
-                return False
-            p, q = t.param, u.param
-            stack += ((_LEAVE, (p, env_t.get(p, p), q, env_u.get(q, q))), (t.body, u.body))
-            env_t[p] = env_u[q] = len(scopes)
-            scopes.append(next(serial))
-        else:
-            raise TermError(f"not a term: {t!r}")
     return True
 
 

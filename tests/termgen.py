@@ -52,6 +52,21 @@ def spine(ell: int, per_param: int = 4) -> tuple[Context, Term]:
     return ctx, t
 
 
+SHARED_BINDERS_CTX = parse_context("params: - ; vars: x:1, y:0")
+
+
+def shared_binders(depth: int, prefix: str = "p") -> Term:
+    """``t_k = nu[1,1]p_k.pch[p_k](t_{k-1}, rch[1,1](t_{k-1}, x(p_k)))`` for
+    ``k = depth``, with ``t_0 = y``, over ``SHARED_BINDERS_CTX``.  Both uses
+    of ``t_{k-1}`` are one node object, a binder, so as a tree the term has
+    about ``2^depth`` nodes."""
+    t: Term = VarApp("y")
+    for k in range(1, depth + 1):
+        p = f"{prefix}{k}"
+        t = Nu(1, 1, p, ParamChoice(p, t, RatioChoice(1, 1, t, VarApp("x", (p,)))))
+    return t
+
+
 def term_size(t: Term) -> int:
     if isinstance(t, VarApp):
         return 1

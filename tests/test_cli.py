@@ -364,6 +364,16 @@ class TestReplay:
         assert code == 1 and "different term" in out
 
 
+    def test_reserved_word_binder_exits_65(self, capsys, tmp_path):
+        # D1 introduces a binder named 'rch': its text would not parse
+        steps = tmp_path / "steps.txt"
+        steps.write_text("D1 rl path=. i=1 j=1 p=rch\nD1 lr path=.\n")
+        code, out, err = run(capsys, "replay", "--context", YZ, "--start", "rch[1,2](y,z)",
+                             "--end", "rch[1,2](y,z)", "--steps", str(steps), "--no-banner")
+        assert code == EX_DATAERR and "derivation ok" not in out
+        assert err == ("error: step 0 (D1 rl path=. i=1 j=1 p=rch) produced ill-formed term: "
+                       "at .: binder 'rch' is a reserved word\n")
+
     @pytest.mark.parametrize("step, message", [
         ("D1 rl path=. i=a j=1 p=q", "D1: field 'i' must be a numeral"),
         ("D1 rl path=. i=1 j=1 p=7", "D1: field 'p' must be a name"),

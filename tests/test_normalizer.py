@@ -1,5 +1,6 @@
 """Normalization stages, golden forms, uniqueness, and serialization."""
 
+import copy
 import json
 import os
 import random
@@ -36,7 +37,8 @@ from betabern.terms import TermError, check_wellformed, format_term, free_params
 from refnorm import (chain_distribution, chain_from_term, collect_chains, level_and_depth,
                      stratify)
 from refnorm import push_nu_to_leaves as reference_push
-from termgen import CONTEXTS, gen_term, rewrite_chain, spine
+from termgen import (CONTEXTS, SHARED_BINDERS_CTX, gen_term, rewrite_chain, shared_binders,
+                     spine)
 
 YZ = parse_context("params: - ; vars: y:0, z:0")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -492,6 +494,72 @@ class TestSharedNodes:
         unshared = parse_term(format_term(t), ctx)
         assert normalize(ctx, t) == normalize(ctx, unshared)
         assert validate_normal_form(normalize(ctx, t)) == []
+
+
+class TestOneFold:
+    """Trees and terms that share nodes go through one fold: a root that
+    ``parse_term`` stamped is a tree and memoises nothing, any other root's
+    parents are counted first."""
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_shared_node_under_three_thousand_binders(self):
+        # every binder is open at the shared node, which uses none of them:
+        # its memo key is its id, and no per-node set of names is kept
+        code = """if True:
+            import time
+            from betabern import normalize, parse_context
+            from betabern.terms import Nu, RatioChoice, VarApp
+            n = 3000
+            ctx = parse_context("params: - ; vars: x:1, y:0, z:0")
+            shared = RatioChoice(1, 2, VarApp("y"), VarApp("z"))
+            t = RatioChoice(1, 1, shared, shared)
+            for k in range(n, 0, -1):
+                t = RatioChoice(1, 2, VarApp("x", (f"b{k}",)), t)
+            for k in range(n, 0, -1):
+                t = Nu(1, 1, f"b{k}", t)
+            started = time.time()
+            nf = normalize(ctx, t)
+            elapsed = time.time() - started
+            # x with probability 1 - (2/3)^n, then y : z = 1 : 2
+            assert nf.weights[()] == (3 ** (n + 1) - 3 * 2 ** n, 2 ** n, 2 ** (n + 1))
+            # the peak RSS of this process image: ru_maxrss would count the
+            # test process too, whose memory the child held until exec
+            with open("/proc/self/status") as status:
+                peak_kb = next(int(line.split()[1]) for line in status
+                               if line.startswith("VmHWM:"))
+            print(elapsed, peak_kb / 1024)
+        """
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        elapsed, peak_mb = map(float, proc.stdout.split())
+        # the interpreter and betabern take about 16 MB of it
+        assert peak_mb < 40, f"peak RSS {peak_mb:.0f} MB"
+        assert elapsed < 1.0, f"normalize took {elapsed:.2f}s"
+
+    def test_shared_binder_family(self):
+        # t_k shares t_{k-1}, a binder, between both branches of its body
+        for depth in range(1, 9):
+            t = shared_binders(depth)
+            unshared = parse_term(format_term(t), SHARED_BINDERS_CTX)
+            assert normalize(SHARED_BINDERS_CTX, t) == normalize(SHARED_BINDERS_CTX, unshared)
+        t = shared_binders(200)
+        started = time.time()
+        nf = normalize(SHARED_BINDERS_CTX, t)
+        elapsed = time.time() - started
+        assert validate_normal_form(nf) == []
+        assert elapsed < 1.0, f"depth 200 took {elapsed:.2f}s"
+
+    def test_unstamped_copy_folds_alike(self):
+        # a shallow copy of a parsed root is not stamped, so its parents
+        # are counted; it shares no node with itself and folds as a tree
+        rng = random.Random("one-fold")
+        for ctx in CONTEXTS:
+            for _ in range(40):
+                t = parse_term(format_term(gen_term(rng, ctx, rng.randint(3, 60))), ctx)
+                twin = copy.copy(t)
+                assert getattr(twin, "_parsed_in", None) is None
+                assert normalize(ctx, t) == normalize(ctx, twin)
 
 
 class TestDeepReify:

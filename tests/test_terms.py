@@ -31,9 +31,11 @@ from betabern import (
     substitute,
 )
 from betabern import terms
-from betabern.terms import Term, all_params, rename_params, replace_at, subterm_at
+from betabern.terms import (Term, all_params, postorder, rename_params, replace_at,
+                            subterm_at)
 from golden import workload_ops
-from termgen import CONTEXTS, all_paths, gen_term, mutate, spine
+from termgen import (CONTEXTS, SHARED_BINDERS_CTX, all_paths, gen_term, mutate,
+                     shared_binders, spine)
 
 import refterms
 
@@ -227,6 +229,23 @@ class TestWellformed:
             [(("r",), "parameter 'q' not in scope")]
         t = RatioChoice(1, 1, draw, RatioChoice(2, 1, draw, VarApp("y")))
         assert [v.path for v in check_wellformed(ctx, t)] == [("l",), ("r", "l")]
+        # the same for a binder node; twice in one scope, it is walked once
+        draw = Nu(1, 1, "r", ParamChoice("q", VarApp("y"), VarApp("z")))
+        t = RatioChoice(1, 1, Nu(1, 1, "q", draw), draw)
+        assert [(v.path, v.message) for v in check_wellformed(ctx, t)] == \
+            [(("r", "b"), "parameter 'q' not in scope")]
+        assert check_wellformed(ctx, Nu(1, 1, "q", RatioChoice(1, 1, draw, draw))) == []
+
+    @pytest.mark.parametrize("word", sorted(terms.RESERVED_WORDS))
+    def test_reserved_word_binder(self, word):
+        # the parser refuses the printed text, so the check must refuse
+        # the term: a derivation step can build it
+        ctx = parse_context("params: - ; vars: x:1, y:0")
+        t = Nu(1, 1, word, RatioChoice(1, 2, VarApp("x", (word,)), VarApp("y")))
+        assert [(v.path, v.message) for v in check_wellformed(ctx, t)] == [
+            ((), f"binder {word!r} is a reserved word")]
+        with pytest.raises(ParseError, match="is a reserved word"):
+            parse_term(format_term(t), ctx)
 
     def test_unknown_variable_and_scope(self):
         ctx = parse_context("params: - ; vars: x:0")
@@ -678,6 +697,32 @@ class TestNameWalksMatchReferences:
             assert out == want.get(walk, True)
 
 
+class TestSharedBinders:
+    """A binder node object shared by both branches of a choice, level by
+    level, is walked once per binder scope by each name walk: as a tree the
+    term at depth 200 has about 2^200 nodes."""
+
+    def test_small_depths_match_references(self):
+        for depth in range(1, 9):
+            t, renamed = shared_binders(depth), shared_binders(depth, prefix="s")
+            assert check_wellformed(SHARED_BINDERS_CTX, t) == []
+            assert free_params(t) == refterms.free_params(t) == frozenset()
+            assert free_params(t.body) == refterms.free_params(t.body) == {"p" + str(depth)}
+            assert alpha_eq(t, renamed) and refterms.alpha_eq(t, renamed)
+            assert not alpha_eq(t, renamed.body.left) and not alpha_eq(t.body, renamed.body)
+
+    def test_depth_two_hundred(self):
+        depth = 200
+        t, renamed = shared_binders(depth), shared_binders(depth, prefix="s")
+        other = Nu(1, 1, "s0", shared_binders(depth - 1, prefix="s"))
+        started = time.time()
+        assert check_wellformed(SHARED_BINDERS_CTX, t) == []
+        assert free_params(t) == frozenset() and free_params(t.body) == {f"p{depth}"}
+        assert alpha_eq(t, renamed) and not alpha_eq(t, other)
+        elapsed = time.time() - started
+        assert elapsed < 1.0, f"the name walks took {elapsed:.2f}s"
+
+
 class TestNodeClasses:
     """What the slotted, frozen node classes keep of plain dataclasses."""
 
@@ -783,3 +828,36 @@ class TestParsedTermsTrusted:
         copy = replace(t)
         normalize(YZ, copy)
         assert walked[-1] is copy
+
+
+def tree_size(t: Term) -> int:
+    """The number of nodes of ``t`` read as a tree: a shared node once per
+    path to it."""
+    size, stack = 0, [t]
+    while stack:
+        u = stack.pop()
+        size += 1
+        stack += [getattr(u, f) for f in ("left", "right", "body") if hasattr(u, f)]
+    return size
+
+
+class TestParsedTree:
+    """``parse_term`` builds every node afresh, so its root is a tree: the
+    normalizer's fold reads the stamp that way and counts no parents.  A
+    parser that shares equal subterms (hash-consing) must change the fold
+    and this test together."""
+
+    def test_termgen_texts(self):
+        rng = random.Random("parsed-tree")
+        for ctx in CONTEXTS:
+            for _ in range(50):
+                t = parse_term(format_term(gen_term(rng, ctx, rng.randint(3, 60))), ctx)
+                assert len(postorder(t)) == tree_size(t)
+
+    def test_seed_one_decide_texts(self):
+        for name in ("decide-ground", "decide-params"):
+            for op in workload_ops(name, 1):
+                ctx = parse_context(op.ctx)
+                for text in op.texts:
+                    t = parse_term(text, ctx)
+                    assert len(postorder(t)) == tree_size(t), text
