@@ -21,7 +21,6 @@ from . import __version__
 from .terms import (
     AxiomError,
     Context,
-    ParseError,
     PolyError,
     Term,
     TermError,
@@ -336,11 +335,8 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EX_USAGE
-    except (ParseError, TermError, PolyError, AxiomError, OSError) as e:
+    except (TermError, PolyError, AxiomError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EX_DATAERR
-    except RecursionError:
-        print("error: term nested too deeply", file=sys.stderr)
         return EX_DATAERR
     except Exception as e:  # pragma: no cover - internal invariant failures
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)

@@ -228,96 +228,88 @@ def format_poly(p: Poly) -> str:
 
 
 def parse_poly(src: str, allowed_vars=None) -> Poly:
-    """Parse ``a*b^2 + 1/2 - q`` style polynomial text."""
+    """Parse ``a*b^2 + 1/2 - q`` style polynomial text in one loop with an
+    explicit stack, so parentheses nest as deep as the text goes.  ``^``
+    takes a numeral below 2^32 and expands by squaring."""
     tokens = _poly_tokens(src)
-    pos = 0
-
-    def peek():
-        return tokens[pos]
-
-    def advance():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
 
     def fail(msg):
-        raise PolyError(f"{msg} (at token {pos}: {peek()[1]!r})")
+        raise PolyError(f"{msg} (at token {pos}: {tokens[pos][1]!r})")
 
-    def parse_expr() -> Poly:
-        sign = 1
-        while peek()[0] == "op" and peek()[1] in "+-":
-            if advance()[1] == "-":
-                sign = -sign
-        acc = parse_term().scale(sign)
-        while peek()[0] == "op" and peek()[1] in "+-":
-            op = advance()[1]
-            term = parse_term()
-            acc = acc + term if op == "+" else acc - term
-        return acc
-
-    def parse_term() -> Poly:
-        acc = parse_factor()
-        while peek()[0] == "op" and peek()[1] == "*":
-            advance()
-            acc = acc * parse_factor()
-        return acc
-
-    def parse_factor() -> Poly:
-        base = parse_base()
-        if peek()[0] == "op" and peek()[1] == "^":
-            advance()
-            if peek()[0] != "nat":
-                fail("expected an exponent")
-            text = advance()[1]
-            e = int(text)
-            if e >> 32:
-                raise PolyError(f"exponent {text} is 2^32 or more")
-            out = Poly.const(1)
-            while e:  # by repeated squaring
-                if e & 1:
-                    out = out * base
-                e >>= 1
-                if e:
-                    base = base * base
-            return out
-        return base
-
-    def parse_base() -> Poly:
-        kind, text = peek()
+    # per open expression (the whole text and each "("): the sum so far,
+    # whether the term being read is negated, and its product so far
+    stack, pos, opens = [], 0, True
+    while True:
+        if opens:  # signs lead only where an expression opens
+            negate = False
+            while tokens[pos] in _SIGNS:
+                negate ^= tokens[pos][1] == "-"
+                pos += 1
+            stack.append([Poly.zero(), negate, None])
+        kind, text = tokens[pos]
+        opens = (kind, text) == ("op", "(")
+        if opens:
+            pos += 1
+            continue
         if kind == "nat":
-            advance()
-            if peek()[0] == "op" and peek()[1] == "/":
-                advance()
-                if peek()[0] != "nat":
+            pos += 1
+            den = 1
+            if tokens[pos] == ("op", "/"):
+                pos += 1
+                if tokens[pos][0] != "nat":
                     fail("expected a denominator")
-                den = int(advance()[1])
+                den = int(tokens[pos][1])
+                pos += 1
                 if den == 0:
                     fail("zero denominator")
-                return Poly.const(Fraction(int(text), den))
-            return Poly.const(int(text))
-        if kind == "ident":
-            advance()
+            base = Poly.const(Fraction(int(text), den))
+        elif kind == "ident":
+            pos += 1
             if allowed_vars is not None and text not in allowed_vars:
                 raise PolyError(f"unknown polynomial variable {text!r}")
-            return Poly.var(text)
-        if kind == "op" and text == "(":
-            advance()
-            inner = parse_expr()
-            if not (peek()[0] == "op" and peek()[1] == ")"):
+            base = Poly.var(text)
+        else:
+            fail("expected a number, variable, or '('")
+        while True:  # a base is read: close every term and expression it ends
+            if tokens[pos] == ("op", "^"):
+                pos += 1
+                if tokens[pos][0] != "nat":
+                    fail("expected an exponent")
+                text = tokens[pos][1]
+                pos += 1
+                e = int(text)
+                if e >> 32:
+                    raise PolyError(f"exponent {text} is 2^32 or more")
+                out = Poly.const(1)
+                while e:  # by repeated squaring
+                    if e & 1:
+                        out = out * base
+                    e >>= 1
+                    if e:
+                        base = base * base
+                base = out
+            top = stack[-1]
+            top[2] = base if top[2] is None else top[2] * base
+            if tokens[pos] == ("op", "*"):
+                pos += 1
+                break
+            top[0] = top[0]._plus(top[2], top[1])
+            top[2] = None
+            if tokens[pos] in _SIGNS:
+                top[1] = tokens[pos][1] == "-"
+                pos += 1
+                break
+            if len(stack) == 1:
+                if tokens[pos][0] != "end":
+                    fail("trailing input")
+                return top[0]
+            if tokens[pos] != ("op", ")"):
                 fail("expected ')'")
-            advance()
-            return inner
-        fail("expected a number, variable, or '('")
+            pos += 1
+            base = stack.pop()[0]
 
-    try:
-        out = parse_expr()
-    except RecursionError:
-        raise PolyError(f"polynomial {src[:40]!r}... is nested too deeply") from None
-    if peek()[0] != "end":
-        fail("trailing input")
-    return out
 
+_SIGNS = (("op", "+"), ("op", "-"))
 
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _POLY_TOKEN_RE = re.compile(

@@ -51,18 +51,23 @@ from .terms import (
 
 
 def beta_moment(hyper: tuple[int, int], a: int, c: int = 0) -> Fraction:
-    """Exact integral of q^a (1-q)^c against the Beta(i, j) distribution.
-
-    Computed by the product form prod_{s<a} (i+s)/(i+j+s) extended with the
-    (1-q) factors, avoiding large factorials.
-    """
+    """Exact integral of q^a (1-q)^c against the Beta(i, j) distribution."""
     i, j = hyper
     if i < 1 or j < 1:
         raise TermError(f"beta hyperparameters must be positive, got ({i},{j})")
     if a < 0 or c < 0:
         raise TermError("moment exponents must be nonnegative")
-    return Fraction(prod(range(i, i + a)) * prod(range(j, j + c)),
-                    prod(range(i + j, i + j + a + c)))
+    return Fraction(*_moment(i, j, a, c))
+
+
+def _moment(i: int, j: int, a: int, c: int = 0) -> tuple[int, int]:
+    """E[q^a (1-q)^c] under Beta(i, j) as an unreduced ``(num, den)``.  Of
+    rising(i, a) rising(j, c) / rising(i+j, a+c) and
+    rising(i, j) rising(j, c) / rising(i+a, j+c), the shorter is taken, so a
+    large ``a`` costs ``j + c`` factors, not ``a + c``."""
+    if a <= j:
+        return prod(range(i, i + a)) * prod(range(j, j + c)), prod(range(i + j, i + j + a + c))
+    return prod(range(i, i + j)) * prod(range(j, j + c)), prod(range(i + a, i + a + j + c))
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +380,8 @@ class _Walk:
 
     def moment(self, i: int, j: int, e: int) -> tuple[int, int]:
         """E[q^e] under Beta(i, j) as ``(num, den)`` in lowest terms; over
-        GF(p) as a residue over 1.  Of the two products for it,
-        prod_{s<e} (i+s)/(i+j+s) and prod_{s<j} (i+s)/(i+e+s), the shorter
-        is taken, so a large exponent costs ``j`` factors."""
-        if e <= j:
-            num, den = prod(range(i, i + e)), prod(range(i + j, i + j + e))
-        else:
-            num, den = prod(range(i, i + j)), prod(range(i + e, i + e + j))
+        GF(p) as a residue over 1."""
+        num, den = _moment(i, j, e)
         p = self.p
         if not p:
             g = gcd(num, den)

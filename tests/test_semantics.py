@@ -2,11 +2,13 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import refpoly
 import refsem
 from betabern import (
     Chain,
@@ -73,6 +75,62 @@ def assert_normal(p: Poly) -> None:
     assert all(type(c) is Fraction and c for c in p.terms.values())
 
 
+POLY_TOKENS = ["a", "b", "c", "0", "1", "2", "3", "+", "-", "*", "/", "^", "(", ")"]
+
+
+def poly_tokens(rng, depth: int = 0) -> tuple[list[str], int]:
+    """The tokens of a random text of the polynomial grammar, nested at most
+    five deep, and a bound on its degree that keeps powers small."""
+    out = [rng.choice("+-") for _ in range(rng.choice((0, 0, 0, 1, 2)))]
+    degree = 0
+    for k in range(rng.randint(1, 3)):
+        if k:
+            out.append(rng.choice("+-"))
+        term_degree = 0
+        for m in range(rng.randint(1, 2)):
+            if m:
+                out.append("*")
+            r = rng.random()
+            if r < 0.3 and depth < 5:
+                inner, d = poly_tokens(rng, depth + 1)
+                base = ["(", *inner, ")"]
+            elif r < 0.65:
+                base, d = [rng.choice("abc")], 1
+            else:
+                base, d = rng.choice([["1"], ["2"], ["1", "/", "2"], ["3", "/", "4"], ["0"]]), 0
+            if rng.random() < 0.25 and d <= 4:
+                e = rng.randint(0, 3)
+                base, d = [*base, "^", str(e)], d * e
+            out += base
+            term_degree += d
+        degree = max(degree, term_degree)
+    return out, degree
+
+
+def poly_text(rng) -> str:
+    """A random text: a valid one, a valid one with one token deleted,
+    inserted or replaced, or up to 14 random tokens."""
+    kind = rng.randrange(3)
+    if kind == 2:
+        return " ".join(rng.choice(POLY_TOKENS) for _ in range(rng.randint(0, 14)))
+    tokens, _ = poly_tokens(rng)
+    if kind == 1:
+        at = rng.randrange(len(tokens) + 1)
+        edit = rng.randrange(3)
+        if edit == 0 and at < len(tokens):
+            del tokens[at]
+        else:
+            tokens[at:at + (edit == 2)] = [rng.choice(POLY_TOKENS)]
+    return " ".join(tokens)  # spaced, so no two numerals run together
+
+
+def parsed(parse, text: str, allowed_vars):
+    try:
+        return parse(text, allowed_vars)
+    except PolyError as e:
+        return str(e)
+
+
 class TestPoly:
     def test_arithmetic_and_normal_form(self):
         p, q = Poly.var("p"), Poly.var("q")
@@ -94,6 +152,25 @@ class TestPoly:
     def test_unknown_variable_rejected(self):
         with pytest.raises(PolyError):
             parse_poly("a + b", allowed_vars={"a"})
+
+    def test_parse_matches_recursive_reference(self):
+        # 21,000 seeded texts, every one shallow enough for the reference's
+        # recursion: equal values, or the same message at the same token
+        rng = random.Random(24)
+        valid = 0
+        for _ in range(21000):
+            text = poly_text(rng)
+            allowed = rng.choice((None, {"a", "b"}))
+            want = parsed(refpoly.parse_poly, text, allowed)
+            assert parsed(parse_poly, text, allowed) == want, text
+            valid += isinstance(want, Poly)
+        assert 5000 < valid < 16000
+
+    def test_deep_parentheses(self):
+        n = 100000
+        assert parse_poly("(" * n + "-a" + ")" * n + "*2") == parse_poly("-2*a")
+        with pytest.raises(PolyError, match=f"expected '\\)' \\(at token {2 * n}: ''\\)"):
+            parse_poly("(" * n + "a" + ")" * (n - 1))
 
     def test_identifiers_are_ascii(self):
         assert parse_poly("a_1*_B2").vars == ("_B2", "a_1")
@@ -179,6 +256,12 @@ class TestBetaMoment:
     def test_rejects_bad_hyperparameters(self):
         with pytest.raises(TermError):
             beta_moment((0, 1), 1)
+
+    def test_large_exponent_in_closed_form(self):
+        # j + c factors once a > j, not a + c
+        started = time.time()
+        assert beta_moment((1, 1), 10**6) == F(1, 1000001)
+        assert time.time() - started < 0.1
 
     def test_evaluator_moments_agree(self):
         # the evaluator takes the shorter of two products for E[q^e]: e
