@@ -188,7 +188,7 @@ def _print_verdict(ctx: Context, verdict, fmt: str, label: str = "") -> None:
         _print_json(payload)
         return
     print(f"{prefix}{'equal' if verdict.equal else 'not equal'} "
-          f"(k={verdict.left.k}, n={verdict.left.n})")
+          f"(k={verdict.k}, n={verdict.n})")
     if verdict.witness:
         print(f"{prefix}witness: {verdict.witness.describe(ctx)}")
 

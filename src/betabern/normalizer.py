@@ -346,8 +346,12 @@ def _mix(left: tuple, right: tuple, wl: int, wr: int, total: int) -> tuple:
 
 
 class _LeafWalk:
-    """Stages 1-4 of checked terms, one bottom-up fold per term, in
+    """Stages 1-4 of well-formed terms, one bottom-up fold per term, in
     integers.
+
+    The terms are checked first, by ``require_wellformed``: a root that
+    ``parse_term`` returned for this ``ctx`` object is not walked again,
+    any other term is walked by ``check_wellformed``.
 
     The fold walks depth first with an explicit stack.  The binders pending
     on the current path sit in one map from parameter to ``(i, j)``, set
@@ -388,6 +392,8 @@ class _LeafWalk:
     """
 
     def __init__(self, ctx: Context, terms):
+        for t in terms:
+            require_wellformed(ctx, t)
         self.ctx = ctx
         self.tips: dict[tuple, int] = {}
         # per free parameter: one more choice, and one more right branch
@@ -501,22 +507,27 @@ class _LeafWalk:
                 stack += ((_SET, p, ij), (_MIX, i, j), node.right, (_SET, p, (i, j + 1)), node.left)
         return vals.pop()
 
-    def forms(self, k: int, n: int) -> list[NormalForm]:
-        """Normal forms of the walked terms at depth ``k`` and level ``n``,
-        over the chains of all of them."""
+    def groups(self, n: int) -> tuple[dict[tuple, int], list[tuple[int, list]]]:
+        """Each walked term's root groups at level ``n``, each over one
+        denominator per term, with the chain ids they share.
+
+        Returns the id table, keyed by a chain's ``(binders, var, argmap)``
+        tuple, and per term ``(common, [(sig, acc), ...])``: a group's
+        signature (see ``_W``) packs its choices ``d`` and right branches
+        ``r`` per free parameter, and ``acc`` maps chain id to its weight
+        over ``common``.  The term's denotation is then ``sum prod_a
+        p_a^(d-r) (1-p_a)^r * acc / common``: the groups' weights, summed
+        over the chains, add up to 1 for every value of the parameters."""
         ids: dict[tuple, int] = {}
         raised = [_raise_tip(tip, n, ids) for tip in self.tips]
-        chains = tuple(sorted([Chain(*key) for key in ids], key=Chain.sort_key))
-        cols = [ids[c.binders, c.var, c.argmap] for c in chains]
-        binom = [comb(k, s) for s in range(k + 1)]
-        forms = []
+        out = []
         for table in self.tables:
             # per group, the lcm of its tips' raised totals; then one
             # denominator for all groups, as every leaf may mix several
             tops = {sig: lcm(*{raised[tip][0] for tip in nums})
                     for sig, (_, nums) in table.items()}
             common = lcm(*{den * tops[sig] for sig, (den, _) in table.items()})
-            leaves: dict[tuple[int, ...], dict[int, int]] = {}
+            groups = []
             for sig, (den, nums) in table.items():
                 top = tops[sig]
                 factor = common // (den * top)
@@ -526,6 +537,23 @@ class _LeafWalk:
                     scale = num * factor * (top // total)
                     for cid, w in pairs:
                         acc[cid] = acc.get(cid, 0) + scale * w
+                groups.append((sig, acc))
+            out.append((common, groups))
+        return ids, out
+
+    def forms(self, k: int, n: int) -> list[NormalForm]:
+        """Normal forms of the walked terms at depth ``k`` and level ``n``,
+        over the chains of all of them: each of ``groups(n)`` spread over
+        the leaves of the depth-``k`` grid, and each leaf scaled to a
+        primitive vector over the chains in canonical order."""
+        ids, tables = self.groups(n)
+        chains = tuple(sorted([Chain(*key) for key in ids], key=Chain.sort_key))
+        cols = [ids[c.binders, c.var, c.argmap] for c in chains]
+        binom = [comb(k, s) for s in range(k + 1)]
+        forms = []
+        for common, groups in tables:
+            leaves: dict[tuple[int, ...], dict[int, int]] = {}
+            for sig, acc in groups:
                 cells = [((), 1)]
                 for a in range(len(self.ctx.params)):
                     d, r = sig >> (2 * a * _W) & _MASK, sig >> ((2 * a + 1) * _W) & _MASK
@@ -567,13 +595,8 @@ def _raise_tip(tip: tuple, n: int, ids: dict[tuple, int]) -> tuple[int, list[tup
 
 def _normal_forms(ctx: Context, terms: tuple[Term, ...], k: int | None = None,
                   n: int | None = None) -> list[NormalForm]:
-    """Check and walk each term, then build all the forms at one depth
-    ``k`` and level ``n``, by default the least that fit every term.  The
-    check is ``require_wellformed``: a root that ``parse_term`` returned for
-    this ``ctx`` object is not walked again, any other term is walked by
-    ``check_wellformed``."""
-    for t in terms:
-        require_wellformed(ctx, t)
+    """Walk each term, then build all the forms at one depth ``k`` and
+    level ``n``, by default the least that fit every term."""
     walk = _LeafWalk(ctx, terms)
     for name, given, least in (("level n", n, walk.n_min), ("depth k", k, walk.k_min)):
         if given is not None and given < least:

@@ -13,6 +13,10 @@ that ``raise_level`` builds, resolve every parameter's choices by each bit
 vector, average the resolutions with ``s`` right branches into leaf ``s``
 of a depth-``k`` tree diagram, hoist ratio choices above binders and sum
 the chain masses as fractions.  Tests compare each pair.
+
+``equal_by_forms`` is the dense comparison that ``betabern.decide.equal``
+made before it compared the terms in the power basis: both joint normal
+forms, leaf by leaf.
 """
 
 from __future__ import annotations
@@ -21,10 +25,12 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
+from betabern.decide import Witness
 from betabern.normalizer import (
     Chain,
     TreeDiagram,
     _first_use,
+    join_normalize,
     multichoice,
 )
 from betabern.terms import (
@@ -204,3 +210,17 @@ def collect_chains(ctx: Context, leaf: Term) -> tuple[tuple[Chain, ...], tuple[i
     chains = tuple(sorted(dist, key=Chain.sort_key))
     weights = _primitive([dist[c] for c in chains])
     return chains, weights
+
+
+def equal_by_forms(ctx: Context, t: Term, u: Term) -> tuple[bool, Witness | None]:
+    """The verdict and witness from both joint normal forms: the first
+    multi-index whose weight vectors differ, and the first column there."""
+    nf_t, nf_u = join_normalize(ctx, t, u)
+    assert nf_t.chains == nf_u.chains and nf_t.k == nf_u.k and nf_t.n == nf_u.n
+    for index in nf_t.indices():
+        vt, vu = nf_t.weights[index], nf_u.weights[index]
+        if vt != vu:
+            for column, (a, b) in enumerate(zip(vt, vu)):
+                if a != b:
+                    return False, Witness(index, column, nf_t.chains[column], a, b)
+    return True, None

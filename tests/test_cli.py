@@ -111,6 +111,44 @@ class TestDecide:
         assert payload["witness"] == {"index": [], "column": 1, "chain": "z",
                                       "left_weight": 2, "right_weight": 3}
 
+    PQ = "params: p, q ; vars: x:1, y:0, z:0"
+    LATE = ("pch[p](y, pch[q](z, nu[1,2]b.x(b)))", "pch[p](y, pch[q](nu[2,1]b.x(b), z))")
+
+    def test_text_verdict_builds_no_grid(self, capsys, monkeypatch):
+        # the text output reads k and n from the verdict, not from a form
+        def no_grid(*_):
+            raise AssertionError("decide built the dense normal forms")
+
+        monkeypatch.setattr("betabern.normalizer._LeafWalk.forms", no_grid)
+        code, out, _ = run(capsys, "decide", "--context", self.PQ,
+                           "-t", self.LATE[0], "-t", self.LATE[1], "--no-banner")
+        assert code == 1
+        assert out == ("not equal (k=1, n=3)\n"
+                       "witness: I=(1,0) chain[1] nu[2,1]b1.x(b1): 0 vs 1\n")
+
+    def test_structured_verdict_matches_the_dense_forms(self, capsys):
+        # byte for byte the payload of both joint forms and the first
+        # differing leaf, as the dense comparison gives them
+        from refnorm import equal_by_forms
+
+        from betabern import join_normalize, normal_form_to_dict, parse_context, parse_term
+
+        code, out, _ = run(capsys, "decide", "--context", self.PQ, "-t", self.LATE[0],
+                           "-t", self.LATE[1], "--no-banner", "--format", "structured")
+        ctx = parse_context(self.PQ)
+        t, u = (parse_term(text, ctx) for text in self.LATE)
+        left, right = join_normalize(ctx, t, u)
+        same, witness = equal_by_forms(ctx, t, u)
+        assert not same and witness.index == (1, 0)
+        payload = {"equal": same, "left": normal_form_to_dict(left),
+                   "right": normal_form_to_dict(right),
+                   "witness": {"index": list(witness.index), "column": witness.column,
+                               "chain": witness.chain.describe(ctx),
+                               "left_weight": witness.left_weight,
+                               "right_weight": witness.right_weight}}
+        assert code == 1
+        assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
     def test_term_files_and_corpus(self, capsys, tmp_path):
         a = tmp_path / "a.term"
         a.write_text(APPENDIX_ONE)

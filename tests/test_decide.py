@@ -1,6 +1,10 @@
 """Decision procedure: golden verdicts, relational laws, oracle agreement."""
 
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,10 +22,16 @@ from betabern import (
 )
 import test_axioms
 from betabern import apply_axiom
+from betabern.decide import _power
+from betabern.normalizer import _MASK, _W, _LeafWalk, join_normalize, normalize
 from betabern.papersuite import von_neumann_term
-from betabern.semantics import functional_eq
-from betabern.terms import TermError
-from termgen import gen_term, rewrite_chain
+from betabern.poly import Poly
+from betabern.semantics import functional_eq, to_bernstein
+from betabern.terms import TermError, format_term
+from refnorm import equal_by_forms
+from termgen import CONTEXTS, gen_term, rewrite_chain, spine
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 XY = parse_context("params: p ; vars: x:0, y:0")
 
@@ -157,3 +167,124 @@ class TestOracleAgreement:
         u = rewrite_chain(rng, ctx, t, rng.randint(1, 6))
         assert equal(ctx, t, u).equal
         assert functional_eq(ctx, t, u)
+
+
+PARAM_CONTEXTS = [ctx for ctx in CONTEXTS if ctx.params]
+
+
+def random_pair(rng, ctx, kind):
+    """Two terms over ``ctx``: drawn independently, one a rewrite of the
+    other, or ``pch[p](t, a)`` against ``pch[p](t, b)``, which agree where
+    ``p`` is 1, so at every leaf whose count for ``p`` is 0."""
+    t = gen_term(rng, ctx, rng.randint(1, 25), weight_max=3)
+    if kind == "rewritten":
+        return t, rewrite_chain(rng, ctx, t, rng.randint(1, 4))
+    if kind == "independent":
+        return t, gen_term(rng, ctx, rng.randint(1, 25), weight_max=3)
+    p = rng.choice(ctx.params)
+    a, b = (gen_term(rng, ctx, rng.randint(1, 12), weight_max=3) for _ in range(2))
+    return ParamChoice(p, t, a), ParamChoice(p, t, b)
+
+
+class TestPowerBasis:
+    """``equal`` compares the terms' polynomials in the power basis and
+    scans the leaves only for a witness; the dense comparison of both
+    joint normal forms is the reference."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.sampled_from(["independent", "rewritten", "late"]))
+    def test_same_verdict_and_witness_as_the_dense_forms(self, seed, kind):
+        rng = random.Random(seed)
+        ctx = rng.choice(PARAM_CONTEXTS)
+        t, u = random_pair(rng, ctx, kind)
+        for a, b in ((t, u), (u, t)):
+            verdict = equal(ctx, a, b)
+            assert (verdict.equal, verdict.witness) == equal_by_forms(ctx, a, b)
+            if kind == "rewritten":
+                assert verdict.equal
+            if kind == "late" and not verdict.equal:
+                assert any(verdict.witness.index)
+            left, right = join_normalize(ctx, a, b)
+            assert (verdict.k, verdict.n) == (left.k, left.n)
+            assert (verdict.left, verdict.right) == (left, right)
+
+    def test_first_difference_past_the_first_leaf(self):
+        # the forms agree at I=(0) and I=(3) and differ at I=(1) and I=(2)
+        ctx = parse_context("params: p ; vars: x:0, y:0, z:0")
+        t = parse_term("pch[p](pch[p](pch[p](x, x), x), pch[p](y, x))", ctx)
+        u = parse_term("pch[p](pch[p](pch[p](x, x), x), pch[p](z, x))", ctx)
+        verdict = equal(ctx, t, u)
+        assert (verdict.equal, verdict.witness) == equal_by_forms(ctx, t, u)
+        assert verdict.witness.index == (1,) and verdict.k == 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_power_basis_is_the_normal_form(self, seed):
+        # each chain's power-basis polynomial, changed to the degree-k
+        # Bernstein basis, gives that chain's leaf fractions
+        rng = random.Random(seed)
+        ctx = rng.choice(PARAM_CONTEXTS)
+        t = gen_term(rng, ctx, rng.randint(1, 25), weight_max=3)
+        walk = _LeafWalk(ctx, (t,))
+        ids, ((common, groups),) = walk.groups(walk.n_min)
+        poly = _power(common, groups, len(ctx.params))
+        nf = normalize(ctx, t)
+        axes = range(len(ctx.params))
+        for chain in nf.chains:
+            cid = ids[chain.binders, chain.var, chain.argmap]
+            p = Poly.make(ctx.params, {tuple(e >> (2 * a * _W) & _MASK for a in axes):
+                                       Fraction(vec.get(cid, 0), common)
+                                       for e, vec in poly.items()})
+            table, _ = to_bernstein(p, nf.k, ctx.params)
+            assert table == {index: nf.leaf_fractions(index).get(chain, 0)
+                             for index in nf.indices()}
+
+    def test_leaf_mass_in_the_power_basis(self):
+        # summed over the chains, every monomial but the constant one is 0
+        ctx = parse_context("params: p ; vars: x:0, y:0")
+        walk = _LeafWalk(ctx, (parse_term("pch[p](x, rch[1,2](x, y))", ctx),))
+        _, ((common, groups),) = walk.groups(walk.n_min)
+        assert common == 3
+        # x is 3p + (1-p), y is 2(1-p), over 3
+        assert _power(common, groups, 1) == {0: {0: 1, 1: 2}, 1: {0: 2, 1: -2}}
+        sig, acc = groups[0]
+        with pytest.raises(AssertionError, match="leaf mass must be 1"):
+            _power(common, [(sig, {cid: 2 * v for cid, v in acc.items()}), *groups[1:]], 1)
+
+    def test_equal_pair_builds_no_grid(self, monkeypatch):
+        def no_grid(*_):
+            raise AssertionError("equal built the dense normal forms")
+
+        ctx, t = spine(5)
+        monkeypatch.setattr(_LeafWalk, "forms", no_grid)
+        verdict = equal(ctx, t, parse_term(format_term(t), ctx))
+        assert verdict.equal and verdict.witness is None and verdict.k == 4
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_seven_parameter_spine_in_budget(self):
+        # the dense grid has 5^7 cells; the power basis a few thousand terms
+        code = """if True:
+            import sys, time
+            sys.path.insert(0, "tests")
+            from betabern import equal, parse_term
+            from betabern.terms import format_term
+            from termgen import spine
+            ctx, t = spine(7)
+            u = parse_term(format_term(t), ctx)
+            started = time.time()
+            verdict = equal(ctx, t, u)
+            elapsed = time.time() - started
+            assert verdict.equal and verdict.k == 4
+            with open("/proc/self/status") as status:
+                peak_kb = next(int(line.split()[1]) for line in status
+                               if line.startswith("VmHWM:"))
+            print(elapsed, peak_kb / 1024)
+        """
+        root = os.path.dirname(SRC)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              cwd=root, env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        elapsed, peak_mb = map(float, proc.stdout.split())
+        # the interpreter and betabern take about 16 MB of it
+        assert peak_mb < 40, f"peak RSS {peak_mb:.0f} MB"
+        assert elapsed < 0.5, f"equal took {elapsed:.2f}s"
